@@ -49,6 +49,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/argparse.hh"
 #include "common/log.hh"
@@ -64,6 +65,43 @@
 #include "workload/trace.hh"
 
 using namespace duplex;
+
+namespace
+{
+
+/**
+ * The CLI surface of one registry: --<list_flag> prints its entries
+ * (id, display name when @p named, summary) and exits; a non-empty
+ * --<flag> must name a registered entry.
+ */
+template <typename Product, typename... Args>
+void
+registryFlags(const ArgParser &args,
+              const Registry<Product, Args...> &registry,
+              const std::string &flag, const std::string &list_flag,
+              const std::string &noun, bool named)
+{
+    if (args.getBool(list_flag)) {
+        Table t(named ? std::vector<std::string>{"id", "name",
+                                                 "summary"}
+                      : std::vector<std::string>{"id", "summary"});
+        for (const std::string &id : registry.ids()) {
+            t.startRow();
+            t.cell(id);
+            if (named)
+                t.cell(registry.displayName(id));
+            t.cell(registry.summary(id));
+        }
+        t.print();
+        std::exit(0);
+    }
+    const std::string id = args.getString(flag);
+    fatalIf(!id.empty() && !registry.contains(id),
+            "--" + flag + "=" + id + " is not a registered " + noun +
+                " (see --" + list_flag + ")");
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -282,10 +320,6 @@ main(int argc, char **argv)
                 fleet_size == 0,
             "--drain-threshold needs a fleet (--fleet=N)");
     const std::string sched = args.getString("sched");
-    fatalIf(!SchedulingPolicyRegistry::instance().contains(sched),
-            "--sched=" + sched +
-                " is not a registered scheduling policy (see "
-                "--list-scheds)");
     const std::int64_t prefill_chunk = args.getInt("prefill-chunk");
     fatalIf(prefill_chunk < 0,
             "--prefill-chunk must be >= 0 (0 = whole-prompt "
@@ -297,10 +331,6 @@ main(int argc, char **argv)
     fatalIf(cache_mb < 0.0,
             "--prefix-cache must be >= 0 (MiB; 0 = off)");
     const std::string evict = args.getString("evict");
-    fatalIf(!EvictionPolicyRegistry::instance().contains(evict),
-            "--evict=" + evict +
-                " is not a registered eviction policy (see "
-                "--list-evictions)");
     fatalIf(args.getInt("turns") < 1, "--turns must be >= 1");
     fatalIf(args.getDouble("think") < 0.0,
             "--think must be >= 0");
@@ -317,67 +347,16 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (args.getBool("list-systems")) {
-        const SystemRegistry &registry = SystemRegistry::instance();
-        Table t({"id", "name", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.displayName(id));
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-workloads")) {
-        const WorkloadRegistry &registry =
-            WorkloadRegistry::instance();
-        Table t({"id", "name", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.displayName(id));
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-policies")) {
-        const RoutingPolicyRegistry &registry =
-            RoutingPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-scheds")) {
-        const SchedulingPolicyRegistry &registry =
-            SchedulingPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-evictions")) {
-        const EvictionPolicyRegistry &registry =
-            EvictionPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
+    registryFlags(args, SystemRegistry::instance(), "system",
+                  "list-systems", "serving system", true);
+    registryFlags(args, WorkloadRegistry::instance(), "workload",
+                  "list-workloads", "workload", true);
+    registryFlags(args, RoutingPolicyRegistry::instance(), "policy",
+                  "list-policies", "routing policy", false);
+    registryFlags(args, SchedulingPolicyRegistry::instance(), "sched",
+                  "list-scheds", "scheduling policy", false);
+    registryFlags(args, EvictionPolicyRegistry::instance(), "evict",
+                  "list-evictions", "eviction policy", false);
 
     const ModelConfig model = modelByName(args.getString("model"));
     std::printf("Model %s: %.1fB parameters, %d layers, "
@@ -578,7 +557,7 @@ main(int argc, char **argv)
         for (const FleetUtilization::InstanceStats &s :
              util.instances()) {
             bt.startRow();
-            bt.cell("#" + std::to_string(s.id));
+            bt.cell(std::string("#").append(std::to_string(s.id)));
             bt.cell(static_cast<double>(s.routed), 0);
             bt.cell(static_cast<double>(s.retired), 0);
             bt.cell(static_cast<double>(s.stages), 0);

@@ -10,22 +10,6 @@
 namespace duplex
 {
 
-namespace
-{
-
-/** The registry id the per-instance systems are built from. */
-const std::string &
-systemIdOf(const SimConfig &config)
-{
-    static std::string legacy;
-    if (!config.systemName.empty())
-        return config.systemName;
-    legacy = systemId(config.system);
-    return legacy;
-}
-
-} // namespace
-
 /**
  * Forwards one instance's engine callbacks to the fleet observers,
  * tagged with the instance id, and counts retirements. begin/end
@@ -195,7 +179,7 @@ FleetDriver::spawn(PicoSec now)
     opts.seed = config_.sim.seed +
                 static_cast<std::uint64_t>(inst->id);
     inst->system =
-        makeSystem(systemIdOf(config_.sim), config_.sim.model, opts);
+        makeSystem(config_.sim.systemName, config_.sim.model, opts);
     inst->observer = std::make_unique<InstanceObserver>(
         *this, observers_, inst->id);
     // Push-fed arrivals: the router delivers requests as their

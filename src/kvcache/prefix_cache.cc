@@ -105,74 +105,16 @@ registerStockEvictionPolicies(EvictionPolicyRegistry &registry)
 
 // ------------------------------------------------------- registry
 
+template <>
 EvictionPolicyRegistry &
 EvictionPolicyRegistry::instance()
 {
     static EvictionPolicyRegistry *registry = [] {
-        auto *r = new EvictionPolicyRegistry;
+        auto *r = new EvictionPolicyRegistry("eviction policy");
         registerStockEvictionPolicies(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-EvictionPolicyRegistry::add(const std::string &id,
-                            const std::string &summary,
-                            EvictionPolicyFactory factory)
-{
-    fatalIf(contains(id),
-            "EvictionPolicyRegistry: duplicate policy id '" + id +
-                "'");
-    fatalIf(!factory,
-            "EvictionPolicyRegistry: null factory for '" + id +
-                "'");
-    entries_.push_back({id, summary, std::move(factory)});
-}
-
-bool
-EvictionPolicyRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const EvictionPolicyRegistry::Entry &
-EvictionPolicyRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const Entry &e : entries_)
-        known += (known.empty() ? "" : ", ") + e.id;
-    fatal("EvictionPolicyRegistry: unknown eviction policy '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<EvictionPolicy>
-EvictionPolicyRegistry::make(const std::string &id) const
-{
-    return find(id).factory();
-}
-
-std::vector<std::string>
-EvictionPolicyRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-EvictionPolicyRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<EvictionPolicy>

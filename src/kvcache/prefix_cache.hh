@@ -35,12 +35,12 @@
 #define DUPLEX_KVCACHE_PREFIX_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "workload/request.hh"
 
 namespace duplex
@@ -131,54 +131,19 @@ class EvictionPolicy
     virtual std::string describe() const = 0;
 };
 
-/** Builds one (stateful) policy instance per pool. */
-using EvictionPolicyFactory =
-    std::function<std::unique_ptr<EvictionPolicy>()>;
-
 /**
  * Registry of every eviction policy a pool can use — the fifth
  * string-keyed axis beside systems, workloads, scheduling and
  * routing policies. Stock entries: "lru", "lfu".
  */
-class EvictionPolicyRegistry
-{
-  public:
-    /** The process-wide registry, with the stock policies loaded. */
-    static EvictionPolicyRegistry &instance();
+using EvictionPolicyRegistry = Registry<EvictionPolicy>;
 
-    /** Register a policy; re-registering an id is fatal. */
-    void add(const std::string &id, const std::string &summary,
-             EvictionPolicyFactory factory);
+/** Builds one (stateful) policy instance per pool. */
+using EvictionPolicyFactory = EvictionPolicyRegistry::Factory;
 
-    /** True when @p id is registered. */
-    bool contains(const std::string &id) const;
-
-    /** Build a fresh policy instance; fatal on an unknown id. */
-    std::unique_ptr<EvictionPolicy>
-    make(const std::string &id) const;
-
-    /**
-     * Registered ids, lexicographically sorted — NOT registration
-     * order (matches the other registries; keeps bench tables
-     * byte-stable across standard libraries).
-     */
-    std::vector<std::string> ids() const;
-
-    /** One-line summary for --list-evictions style output. */
-    const std::string &summary(const std::string &id) const;
-
-  private:
-    struct Entry
-    {
-        std::string id;
-        std::string summary;
-        EvictionPolicyFactory factory;
-    };
-
-    std::vector<Entry> entries_;
-
-    const Entry &find(const std::string &id) const;
-};
+/** The process-wide registry, with the stock policies loaded. */
+template <>
+EvictionPolicyRegistry &EvictionPolicyRegistry::instance();
 
 /** Build a registered eviction policy (registry shorthand). */
 std::unique_ptr<EvictionPolicy>

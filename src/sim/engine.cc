@@ -67,13 +67,10 @@ SimulationEngine::addObserver(SimObserver *observer)
 SimResult
 SimulationEngine::run()
 {
-    const std::string id = config_.systemName.empty()
-                               ? systemId(config_.system)
-                               : config_.systemName;
     SystemOptions opts;
     opts.seed = config_.seed;
     const std::unique_ptr<ServingSystem> system =
-        makeSystem(id, config_.model, opts);
+        makeSystem(config_.systemName, config_.model, opts);
     return run(*system);
 }
 

@@ -3,11 +3,10 @@
  * The simulation engine: one continuous-batching driver loop for
  * every registered serving system, with an observer API.
  *
- * The engine owns the scheduler loop that used to be duplicated
- * between runSimulation, runSplitSimulation and the benches' hand
- * rolled drivers: it forms stages with the ContinuousBatcher,
- * executes them on a ServingSystem, applies the warm-up-window
- * accounting and collects ServingMetrics. Systems with a
+ * The engine owns the one scheduler loop every system shares: it
+ * forms stages with the ContinuousBatcher, executes them on a
+ * ServingSystem, applies the warm-up-window accounting and collects
+ * ServingMetrics. Systems with a
  * non-standard lifecycle (SplitSystem) plug in their own loop via
  * ServingSystem::runCustomLoop and still feed the same observers.
  *

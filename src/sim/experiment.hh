@@ -23,13 +23,9 @@ struct SimConfig
 {
     /**
      * Registry id of the serving system to build ("gpu",
-     * "duplex-pe-et", ... — see sim/registry.hh). When empty, the
-     * deprecated SystemKind enum below picks the system instead.
+     * "duplex-pe-et", ... — see sim/registry.hh).
      */
-    std::string systemName;
-
-    /** @deprecated Use systemName; kept for the old entry points. */
-    SystemKind system = SystemKind::Gpu;
+    std::string systemName = "gpu";
 
     ModelConfig model;
 

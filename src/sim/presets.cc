@@ -1,38 +1,9 @@
 #include "sim/presets.hh"
 
-#include <utility>
-
 #include "common/log.hh"
 
 namespace duplex
 {
-
-const char *
-systemName(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::Gpu:
-        return "GPU";
-      case SystemKind::Gpu2x:
-        return "2xGPU";
-      case SystemKind::Duplex:
-        return "Duplex";
-      case SystemKind::DuplexPE:
-        return "Duplex+PE";
-      case SystemKind::DuplexPEET:
-        return "Duplex+PE+ET";
-      case SystemKind::BankPim:
-        return "Bank-PIM";
-      case SystemKind::BankGroupPim:
-        return "BankGroup-PIM";
-      case SystemKind::Hetero:
-        return "Hetero";
-      case SystemKind::DuplexSplit:
-        return "Duplex-Split";
-      default:
-        return "?";
-    }
-}
 
 SystemTopology
 defaultTopology(const ModelConfig &model, bool doubled)
@@ -51,8 +22,8 @@ defaultTopology(const ModelConfig &model, bool doubled)
 }
 
 ClusterConfig
-makeClusterConfig(SystemKind kind, const ModelConfig &model,
-                  std::uint64_t seed)
+makeClusterConfig(const std::string &system_id,
+                  const ModelConfig &model, std::uint64_t seed)
 {
     const HbmTiming timing = hbm3Timing();
     const DramCalibration &cal = cachedCalibration();
@@ -60,64 +31,34 @@ makeClusterConfig(SystemKind kind, const ModelConfig &model,
     ClusterConfig cfg;
     cfg.model = model;
     cfg.seed = seed;
-    cfg.topo = defaultTopology(model, kind == SystemKind::Gpu2x);
+    cfg.topo = defaultTopology(model, system_id == "gpu-2x");
     cfg.expertPlacement = ExpertPlacement::ExpertParallel;
 
-    switch (kind) {
-      case SystemKind::Gpu:
-      case SystemKind::Gpu2x:
+    // The tensor-parallel-expert presets shard each expert across
+    // devices; a dense model has no experts to shard.
+    bool tensor_parallel_experts = true;
+    if (system_id == "gpu" || system_id == "gpu-2x") {
         cfg.deviceSpec = h100DeviceSpec(timing, cal);
-        break;
-      case SystemKind::Duplex:
-        cfg.deviceSpec = duplexDeviceSpec(timing, cal, false);
-        break;
-      case SystemKind::DuplexPE:
+        tensor_parallel_experts = false;
+    } else if (system_id == "duplex" || system_id == "duplex-pe") {
+        cfg.deviceSpec =
+            duplexDeviceSpec(timing, cal, system_id == "duplex-pe");
+        tensor_parallel_experts = false;
+    } else if (system_id == "duplex-pe-et") {
         cfg.deviceSpec = duplexDeviceSpec(timing, cal, true);
-        break;
-      case SystemKind::DuplexPEET:
-        cfg.deviceSpec = duplexDeviceSpec(timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      case SystemKind::BankPim:
+    } else if (system_id == "bank-pim") {
         cfg.deviceSpec = pimVariantDeviceSpec(PimVariant::BankPim,
                                               timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      case SystemKind::BankGroupPim:
+    } else if (system_id == "bankgroup-pim") {
         cfg.deviceSpec = pimVariantDeviceSpec(
             PimVariant::BankGroupPim, timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      default:
-        fatal("makeClusterConfig: system needs a dedicated builder");
+    } else {
+        fatal("makeClusterConfig: no homogeneous cluster config "
+              "for '" + system_id + "'");
     }
+    if (tensor_parallel_experts && model.numExperts > 0)
+        cfg.expertPlacement = ExpertPlacement::ExpertTensorParallel;
     return cfg;
-}
-
-ClusterConfig
-makeClusterConfig(const std::string &system_id,
-                  const ModelConfig &model, std::uint64_t seed)
-{
-    static const std::pair<const char *, SystemKind> kIdToKind[] = {
-        {"gpu", SystemKind::Gpu},
-        {"gpu-2x", SystemKind::Gpu2x},
-        {"duplex", SystemKind::Duplex},
-        {"duplex-pe", SystemKind::DuplexPE},
-        {"duplex-pe-et", SystemKind::DuplexPEET},
-        {"bank-pim", SystemKind::BankPim},
-        {"bankgroup-pim", SystemKind::BankGroupPim},
-    };
-    for (const auto &[id, kind] : kIdToKind)
-        if (system_id == id)
-            return makeClusterConfig(kind, model, seed);
-    fatal("makeClusterConfig: no homogeneous cluster config for '" +
-          system_id + "'");
 }
 
 HeteroConfig

@@ -8,12 +8,11 @@
  * 2xGPU comparison doubles devices by first filling nodes to eight,
  * then adding nodes.
  *
- * To *run* a system, prefer the string-keyed SystemRegistry
- * (sim/registry.hh) over the SystemKind enum: makeSystem("duplex")
- * builds a ready ServingSystem, and new systems register without
- * touching this enum. The builders below remain the config layer
- * the registry factories (and the ablation studies, which tweak
- * individual fields) are written against.
+ * To *run* a system, use the SystemRegistry (sim/registry.hh):
+ * makeSystem("duplex") builds a ready ServingSystem. The builders
+ * below are the config layer the registry factories (and the
+ * ablation studies, which tweak individual fields) are written
+ * against.
  */
 
 #ifndef DUPLEX_SIM_PRESETS_HH
@@ -26,41 +25,17 @@
 namespace duplex
 {
 
-/** Evaluated serving systems. */
-enum class SystemKind
-{
-    Gpu,          //!< H100-class baseline
-    Gpu2x,        //!< twice the devices
-    Duplex,       //!< engine selection only (Fig. 10(a)/(b))
-    DuplexPE,     //!< + expert/attention co-processing
-    DuplexPEET,   //!< + tensor-parallel experts
-    BankPim,      //!< hybrid device with Bank-PIM low engine
-    BankGroupPim, //!< hybrid device with BankGroup-PIM low engine
-    Hetero,       //!< 2 GPUs + 2 Logic-PIM devices (Section III-B)
-    DuplexSplit,  //!< Splitwise-style prefill/decode split (Fig. 16)
-};
-
-/** Name for reporting. */
-const char *systemName(SystemKind kind);
-
 /** Device count defaults per model. */
 SystemTopology defaultTopology(const ModelConfig &model,
                                bool doubled = false);
 
 /**
- * Cluster configuration for a homogeneous system. Not valid for
- * Hetero / DuplexSplit (those have dedicated builders).
- */
-ClusterConfig makeClusterConfig(SystemKind kind,
-                                const ModelConfig &model,
-                                std::uint64_t seed = 7);
-
-/**
- * Registry-id flavor of makeClusterConfig ("gpu", "duplex-pe-et",
- * ...) for callers that tweak config fields (gate policy, ablation
- * studies) before building the Cluster themselves — everything
- * else should go through makeSystem. Fatal for ids without a
- * homogeneous cluster config (hetero, the split variants).
+ * Cluster configuration of a homogeneous registered system ("gpu",
+ * "duplex-pe-et", ...), for the registry factories and for callers
+ * that tweak config fields (gate policy, ablation studies) before
+ * building the Cluster themselves — everything else should go
+ * through makeSystem. Fatal for ids without a homogeneous cluster
+ * config (hetero, the split variants).
  */
 ClusterConfig makeClusterConfig(const std::string &system_id,
                                 const ModelConfig &model,

@@ -1,8 +1,5 @@
 #include "sim/registry.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
 #include "sim/split_system.hh"
 
 namespace duplex
@@ -11,167 +8,89 @@ namespace duplex
 namespace
 {
 
-/** Factory for the homogeneous (Cluster-backed) presets. */
-SystemFactory
-clusterFactory(SystemKind kind)
+/** A homogeneous (Cluster-backed) preset. */
+void
+addClusterSystem(SystemRegistry &registry, const std::string &id,
+                 const std::string &display,
+                 const std::string &summary)
 {
-    return [kind](const ModelConfig &model,
-                  const SystemOptions &opts) {
-        return std::make_unique<ClusterSystem>(
-            systemName(kind),
-            makeClusterConfig(kind, model, opts.seed));
-    };
+    registry.add(id, display, summary,
+                 [id, display](const ModelConfig &model,
+                               const SystemOptions &opts) {
+                     return std::make_unique<ClusterSystem>(
+                         display,
+                         makeClusterConfig(id, model, opts.seed));
+                 });
 }
 
-/** Factory for the Splitwise-style disaggregated variants. */
-SystemFactory
-splitFactory(std::string display, SplitSpec spec)
+/** A Splitwise-style disaggregated variant. */
+void
+addSplitSystem(SystemRegistry &registry, const std::string &id,
+               const std::string &display, const std::string &summary,
+               SplitSpec spec)
 {
-    return [display = std::move(display),
-            spec](const ModelConfig &model,
-                  const SystemOptions &opts) {
-        return std::make_unique<SplitSystem>(display, model,
-                                             opts.seed, spec);
-    };
+    registry.add(id, display, summary,
+                 [display, spec](const ModelConfig &model,
+                                 const SystemOptions &opts) {
+                     return std::make_unique<SplitSystem>(
+                         display, model, opts.seed, spec);
+                 });
 }
 
 void
 registerPaperSystems(SystemRegistry &registry)
 {
-    registry.add("gpu", systemName(SystemKind::Gpu),
-                 "H100-class baseline, 4-8 devices per node",
-                 clusterFactory(SystemKind::Gpu));
-    registry.add("gpu-2x", systemName(SystemKind::Gpu2x),
-                 "GPU baseline with twice the devices",
-                 clusterFactory(SystemKind::Gpu2x));
-    registry.add("duplex", systemName(SystemKind::Duplex),
-                 "Logic-PIM low engine, Op/B-driven selection",
-                 clusterFactory(SystemKind::Duplex));
-    registry.add("duplex-pe", systemName(SystemKind::DuplexPE),
-                 "Duplex + expert/attention co-processing",
-                 clusterFactory(SystemKind::DuplexPE));
-    registry.add("duplex-pe-et",
-                 systemName(SystemKind::DuplexPEET),
-                 "Duplex + co-processing + tensor-parallel experts",
-                 clusterFactory(SystemKind::DuplexPEET));
-    registry.add("bank-pim", systemName(SystemKind::BankPim),
-                 "hybrid device with a Bank-PIM low engine",
-                 clusterFactory(SystemKind::BankPim));
-    registry.add("bankgroup-pim",
-                 systemName(SystemKind::BankGroupPim),
-                 "hybrid device with a BankGroup-PIM low engine",
-                 clusterFactory(SystemKind::BankGroupPim));
+    addClusterSystem(registry, "gpu", "GPU",
+                     "H100-class baseline, 4-8 devices per node");
+    addClusterSystem(registry, "gpu-2x", "2xGPU",
+                     "GPU baseline with twice the devices");
+    addClusterSystem(registry, "duplex", "Duplex",
+                     "Logic-PIM low engine, Op/B-driven selection");
+    addClusterSystem(registry, "duplex-pe", "Duplex+PE",
+                     "Duplex + expert/attention co-processing");
+    addClusterSystem(
+        registry, "duplex-pe-et", "Duplex+PE+ET",
+        "Duplex + co-processing + tensor-parallel experts");
+    addClusterSystem(registry, "bank-pim", "Bank-PIM",
+                     "hybrid device with a Bank-PIM low engine");
+    addClusterSystem(registry, "bankgroup-pim", "BankGroup-PIM",
+                     "hybrid device with a BankGroup-PIM low engine");
     registry.add(
-        "hetero", systemName(SystemKind::Hetero),
+        "hetero", "Hetero",
         "2 GPUs + 2 Logic-PIM devices over NVLink (Section III-B)",
         [](const ModelConfig &model, const SystemOptions &opts) {
             return std::make_unique<HeteroSystem>(
-                systemName(SystemKind::Hetero),
-                makeHeteroConfig(model, opts.seed));
+                "Hetero", makeHeteroConfig(model, opts.seed));
         });
-    registry.add(
-        "duplex-split", systemName(SystemKind::DuplexSplit),
-        "Splitwise-style prefill/decode split (Fig. 16)",
-        [](const ModelConfig &model, const SystemOptions &opts) {
-            return std::make_unique<SplitSystem>(
-                systemName(SystemKind::DuplexSplit), model,
-                opts.seed);
-        });
-    registry.add(
-        "duplex-split-contended", "Duplex-Split-C",
+    addSplitSystem(registry, "duplex-split", "Duplex-Split",
+                   "Splitwise-style prefill/decode split (Fig. 16)",
+                   SplitSpec{});
+    addSplitSystem(
+        registry, "duplex-split-contended", "Duplex-Split-C",
         "symmetric split, KV migrations contend FIFO for NVLink",
-        splitFactory("Duplex-Split-C",
-                     SplitSpec{0, 0, /*contendedKvTransfer=*/true}));
-    registry.add(
-        "duplex-split-2p6d", "Duplex-Split-2P6D",
-        "prefill-light split: 2 prefill + 6 decode devices, "
-        "contended KV link",
-        splitFactory("Duplex-Split-2P6D", SplitSpec{2, 6, true}));
-    registry.add(
-        "duplex-split-6p2d", "Duplex-Split-6P2D",
-        "prefill-heavy split: 6 prefill + 2 decode devices, "
-        "contended KV link",
-        splitFactory("Duplex-Split-6P2D", SplitSpec{6, 2, true}));
+        SplitSpec{0, 0, /*contendedKvTransfer=*/true});
+    addSplitSystem(registry, "duplex-split-2p6d", "Duplex-Split-2P6D",
+                   "prefill-light split: 2 prefill + 6 decode "
+                   "devices, contended KV link",
+                   SplitSpec{2, 6, true});
+    addSplitSystem(registry, "duplex-split-6p2d", "Duplex-Split-6P2D",
+                   "prefill-heavy split: 6 prefill + 2 decode "
+                   "devices, contended KV link",
+                   SplitSpec{6, 2, true});
 }
 
 } // namespace
 
+template <>
 SystemRegistry &
 SystemRegistry::instance()
 {
     static SystemRegistry *registry = [] {
-        auto *r = new SystemRegistry;
+        auto *r = new SystemRegistry("system");
         registerPaperSystems(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-SystemRegistry::add(const std::string &id,
-                    const std::string &display,
-                    const std::string &summary,
-                    SystemFactory factory)
-{
-    fatalIf(contains(id),
-            "SystemRegistry: duplicate system id '" + id + "'");
-    fatalIf(!factory,
-            "SystemRegistry: null factory for '" + id + "'");
-    entries_.push_back(
-        {id, display, summary, std::move(factory)});
-}
-
-bool
-SystemRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const SystemRegistry::Entry &
-SystemRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const Entry &e : entries_)
-        known += (known.empty() ? "" : ", ") + e.id;
-    fatal("SystemRegistry: unknown system '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<ServingSystem>
-SystemRegistry::make(const std::string &id,
-                     const ModelConfig &model,
-                     const SystemOptions &opts) const
-{
-    return find(id).factory(model, opts);
-}
-
-std::vector<std::string>
-SystemRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-SystemRegistry::displayName(const std::string &id) const
-{
-    return find(id).display;
-}
-
-const std::string &
-SystemRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<ServingSystem>
@@ -195,32 +114,6 @@ registerServingSystem(const std::string &id,
 {
     SystemRegistry::instance().add(id, display, summary,
                                    std::move(factory));
-}
-
-const char *
-systemId(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::Gpu:
-        return "gpu";
-      case SystemKind::Gpu2x:
-        return "gpu-2x";
-      case SystemKind::Duplex:
-        return "duplex";
-      case SystemKind::DuplexPE:
-        return "duplex-pe";
-      case SystemKind::DuplexPEET:
-        return "duplex-pe-et";
-      case SystemKind::BankPim:
-        return "bank-pim";
-      case SystemKind::BankGroupPim:
-        return "bankgroup-pim";
-      case SystemKind::Hetero:
-        return "hetero";
-      case SystemKind::DuplexSplit:
-        return "duplex-split";
-    }
-    fatal("systemId: unknown SystemKind");
 }
 
 } // namespace duplex

@@ -73,8 +73,8 @@ struct WorkloadSpec : WorkloadConfig
 
     /**
      * Distinct sessions to stamp onto the stream (request id modulo
-     * this count); 0 leaves requests session-less. Consumed by the
-     * registry for every source — see
+     * this count); 0 leaves requests session-less. Consumed by
+     * makeWorkload for every source — see
      * WorkloadSource::setSessionCount for the no-RNG guarantee.
      */
     int numSessions = 0;
@@ -83,7 +83,7 @@ struct WorkloadSpec : WorkloadConfig
      * Fraction of requests stamped priorityClass = 1 (the rest stay
      * class 0) for the "priority" scheduling policy
      * (sched/policy.hh); 0 leaves the stream classless. Consumed by
-     * the registry for every source — see
+     * makeWorkload for every source — see
      * WorkloadSource::setPriorityFraction for the no-RNG guarantee.
      */
     double priorityFrac = 0.0;

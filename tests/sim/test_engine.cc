@@ -2,8 +2,8 @@
  * @file
  * SimulationEngine tests: observer callback ordering and counts,
  * the shipped drop-in observers, and a golden test pinning the
- * engine's SimResult to the values the seed runSimulation produced
- * on the Mixtral preset (Gpu and Duplex systems).
+ * engine's SimResult to the values the seed simulator produced on
+ * the Mixtral preset (gpu and duplex systems).
  */
 
 #include <gtest/gtest.h>
@@ -97,8 +97,8 @@ countEvents(const RecordingObserver &rec,
 
 TEST(Engine, GoldenGpuMatchesSeedRunSimulation)
 {
-    // Values captured from the seed implementation's
-    // runSimulation on this exact configuration; the engine must
+    // Values captured from the seed implementation's driver loop
+    // on this exact configuration; the engine must
     // reproduce them bit-for-bit (time/token integers) and to
     // rounding (energy).
     const SimResult r =

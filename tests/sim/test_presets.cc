@@ -1,14 +1,14 @@
 /**
  * @file
- * System preset tests: Section VI device counts and configuration
- * wiring.
+ * System preset tests: Section VI device counts, configuration
+ * wiring and the paper systems' report names.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "sim/presets.hh"
+#include "sim/registry.hh"
 
 namespace duplex
 {
@@ -55,7 +55,7 @@ TEST(Presets, DoublingFillsNodesFirst)
 TEST(Presets, GpuHasNoLowEngine)
 {
     const auto cfg =
-        makeClusterConfig(SystemKind::Gpu, mixtralConfig());
+        makeClusterConfig("gpu", mixtralConfig());
     EXPECT_FALSE(cfg.deviceSpec.hasLowEngine);
     EXPECT_FALSE(cfg.deviceSpec.coProcessing);
 }
@@ -63,19 +63,19 @@ TEST(Presets, GpuHasNoLowEngine)
 TEST(Presets, DuplexVariantsWiring)
 {
     const auto base =
-        makeClusterConfig(SystemKind::Duplex, mixtralConfig());
+        makeClusterConfig("duplex", mixtralConfig());
     EXPECT_TRUE(base.deviceSpec.hasLowEngine);
     EXPECT_FALSE(base.deviceSpec.coProcessing);
     EXPECT_EQ(base.expertPlacement,
               ExpertPlacement::ExpertParallel);
 
     const auto pe =
-        makeClusterConfig(SystemKind::DuplexPE, mixtralConfig());
+        makeClusterConfig("duplex-pe", mixtralConfig());
     EXPECT_TRUE(pe.deviceSpec.coProcessing);
     EXPECT_EQ(pe.expertPlacement, ExpertPlacement::ExpertParallel);
 
     const auto et =
-        makeClusterConfig(SystemKind::DuplexPEET, mixtralConfig());
+        makeClusterConfig("duplex-pe-et", mixtralConfig());
     EXPECT_TRUE(et.deviceSpec.coProcessing);
     EXPECT_EQ(et.expertPlacement,
               ExpertPlacement::ExpertTensorParallel);
@@ -86,7 +86,7 @@ TEST(Presets, EtOnDenseModelStaysExpertParallel)
     // ET is meaningless without experts; the preset must not
     // request an expert placement the sharding layer would reject.
     const auto cfg =
-        makeClusterConfig(SystemKind::DuplexPEET, llama3Config());
+        makeClusterConfig("duplex-pe-et", llama3Config());
     EXPECT_EQ(cfg.expertPlacement,
               ExpertPlacement::ExpertParallel);
 }
@@ -94,7 +94,7 @@ TEST(Presets, EtOnDenseModelStaysExpertParallel)
 TEST(Presets, BankPimUsesBankPath)
 {
     const auto cfg =
-        makeClusterConfig(SystemKind::BankPim, mixtralConfig());
+        makeClusterConfig("bank-pim", mixtralConfig());
     EXPECT_TRUE(cfg.deviceSpec.hasLowEngine);
     EXPECT_EQ(cfg.deviceSpec.lowPath, DramPath::BankLocal);
     EXPECT_EQ(cfg.deviceSpec.lowCls, ComputeClass::BankPim);
@@ -102,7 +102,7 @@ TEST(Presets, BankPimUsesBankPath)
 
 TEST(Presets, BankGroupPimUsesBankGroupPath)
 {
-    const auto cfg = makeClusterConfig(SystemKind::BankGroupPim,
+    const auto cfg = makeClusterConfig("bankgroup-pim",
                                        mixtralConfig());
     EXPECT_EQ(cfg.deviceSpec.lowPath, DramPath::BankGroup);
 }
@@ -119,24 +119,33 @@ TEST(Presets, HeteroConfigShape)
 
 TEST(Presets, SystemNamesDistinct)
 {
-    const std::vector<SystemKind> kinds = {
-        SystemKind::Gpu,      SystemKind::Gpu2x,
-        SystemKind::Duplex,   SystemKind::DuplexPE,
-        SystemKind::DuplexPEET, SystemKind::BankPim,
-        SystemKind::BankGroupPim, SystemKind::Hetero,
-        SystemKind::DuplexSplit};
+    // The paper's nine systems keep their report names...
+    const SystemRegistry &registry = SystemRegistry::instance();
+    const std::pair<const char *, const char *> paper[] = {
+        {"gpu", "GPU"},
+        {"gpu-2x", "2xGPU"},
+        {"duplex", "Duplex"},
+        {"duplex-pe", "Duplex+PE"},
+        {"duplex-pe-et", "Duplex+PE+ET"},
+        {"bank-pim", "Bank-PIM"},
+        {"bankgroup-pim", "BankGroup-PIM"},
+        {"hetero", "Hetero"},
+        {"duplex-split", "Duplex-Split"}};
+    for (const auto &[id, name] : paper)
+        EXPECT_EQ(registry.displayName(id), name) << id;
+
+    // ...and no two registered systems share a display name.
+    const std::vector<std::string> ids = registeredSystems();
     std::set<std::string> names;
-    for (auto k : kinds)
-        names.insert(systemName(k));
-    EXPECT_EQ(names.size(), kinds.size());
+    for (const std::string &id : ids)
+        names.insert(registry.displayName(id));
+    EXPECT_EQ(names.size(), ids.size());
 }
 
 TEST(Presets, DeviceMemoryMatchesH100)
 {
-    for (auto kind : {SystemKind::Gpu, SystemKind::Duplex,
-                      SystemKind::BankPim}) {
-        const auto cfg =
-            makeClusterConfig(kind, mixtralConfig());
+    for (const char *id : {"gpu", "duplex", "bank-pim"}) {
+        const auto cfg = makeClusterConfig(id, mixtralConfig());
         EXPECT_EQ(cfg.deviceSpec.memCapacity, 80ull * kGiB);
     }
 }

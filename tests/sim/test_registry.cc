@@ -1,8 +1,8 @@
 /**
  * @file
  * System-registry tests: every registered system builds and honors
- * the ServingSystem contract, legacy SystemKind values map onto
- * registered ids, and user systems can be added at runtime.
+ * the ServingSystem contract, and user systems can be added at
+ * runtime.
  */
 
 #include <gtest/gtest.h>
@@ -86,20 +86,6 @@ TEST(Registry, SeedReachesTheSystem)
     EXPECT_NE(a->executeStage(s).time, b->executeStage(s).time);
 }
 
-TEST(Registry, LegacyKindsMapOntoRegisteredIds)
-{
-    for (SystemKind kind :
-         {SystemKind::Gpu, SystemKind::Gpu2x, SystemKind::Duplex,
-          SystemKind::DuplexPE, SystemKind::DuplexPEET,
-          SystemKind::BankPim, SystemKind::BankGroupPim,
-          SystemKind::Hetero, SystemKind::DuplexSplit}) {
-        const std::string id = systemId(kind);
-        EXPECT_TRUE(SystemRegistry::instance().contains(id));
-        EXPECT_EQ(SystemRegistry::instance().displayName(id),
-                  systemName(kind));
-    }
-}
-
 TEST(Registry, UnknownSystemIsFatal)
 {
     EXPECT_EXIT(
@@ -119,7 +105,7 @@ TEST(Registry, UserSystemsPlugIn)
                const SystemOptions &opts) {
                 return std::make_unique<ClusterSystem>(
                     "TestCustom",
-                    makeClusterConfig(SystemKind::Gpu, model,
+                    makeClusterConfig("gpu", model,
                                       opts.seed));
             });
     }
@@ -146,7 +132,7 @@ TEST(Registry, DuplicateRegistrationIsFatal)
                 [](const ModelConfig &model,
                    const SystemOptions &opts) {
                     return std::make_unique<ClusterSystem>(
-                        "GPU", makeClusterConfig(SystemKind::Gpu,
+                        "GPU", makeClusterConfig("gpu",
                                                  model,
                                                  opts.seed));
                 });

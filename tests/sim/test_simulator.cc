@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hh"
+#include "sim/engine.hh"
 
 namespace duplex
 {
@@ -211,39 +211,6 @@ TEST(Simulator, GrokTwoNodeRuns)
     const double thr =
         throughput("duplex-pe-et", grok1Config(), 32, 256, 128);
     EXPECT_GT(thr, 0.0);
-}
-
-TEST(Simulator, DeprecatedShimsMatchEngine)
-{
-    // The legacy free functions forward to the engine; old enum
-    // configs keep working unchanged.
-    SimConfig legacy;
-    legacy.system = SystemKind::Duplex;
-    legacy.model = mixtralConfig();
-    legacy.maxBatch = 16;
-    legacy.workload.meanInputLen = 256;
-    legacy.workload.meanOutputLen = 64;
-    legacy.numRequests = 32;
-    legacy.warmupRequests = 4;
-    legacy.maxStages = 400;
-    const SimResult shim = runSimulation(legacy);
-
-    SimConfig named = legacy;
-    named.systemName = "duplex";
-    const SimResult engine = SimulationEngine(named).run();
-    EXPECT_EQ(shim.metrics.elapsed, engine.metrics.elapsed);
-    EXPECT_EQ(shim.metrics.totalTokens,
-              engine.metrics.totalTokens);
-    EXPECT_DOUBLE_EQ(shim.totals.totalEnergyJ(),
-                     engine.totals.totalEnergyJ());
-
-    const SimResult split = runSplitSimulation(legacy);
-    named.systemName = "duplex-split";
-    const SimResult split_engine = SimulationEngine(named).run();
-    EXPECT_EQ(split.metrics.elapsed,
-              split_engine.metrics.elapsed);
-    EXPECT_EQ(split.metrics.totalTokens,
-              split_engine.metrics.totalTokens);
 }
 
 } // namespace
