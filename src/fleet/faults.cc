@@ -35,43 +35,33 @@ RetrySpec::backoffFor(int attempt) const
     return secToPs(delay);
 }
 
-FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
-                     std::uint64_t fleet_seed)
-    : random_(spec.mtbfSec > 0.0), instance_(instance),
-      mtbfSec_(spec.mtbfSec), mttrSec_(spec.mttrSec),
-      stragglerFraction_(spec.stragglerFraction),
-      stragglerFactor_(spec.stragglerFactor),
-      stragglerDurationSec_(spec.stragglerDurationSec),
-      rng_(faultStreamSeed(fleet_seed, instance))
+void
+FaultSpec::validate() const
 {
-    fatalIf(spec.mtbfSec < 0.0, "FaultSpec: negative mtbfSec");
-    fatalIf(random_ && spec.mttrSec <= 0.0,
+    fatalIf(mtbfSec < 0.0, "FaultSpec: negative mtbfSec");
+    fatalIf(mtbfSec > 0.0 && mttrSec <= 0.0,
             "FaultSpec: MTBF draws need a positive mttrSec");
-    fatalIf(spec.stragglerFraction < 0.0 ||
-                spec.stragglerFraction > 1.0,
+    fatalIf(stragglerFraction < 0.0 || stragglerFraction > 1.0,
             "FaultSpec: stragglerFraction must be in [0, 1]");
-    fatalIf(spec.stragglerFraction > 0.0 &&
-                spec.stragglerFactor <= 0.0,
+    fatalIf(stragglerFraction > 0.0 && stragglerFactor <= 0.0,
             "FaultSpec: stragglerFactor must be positive");
-    fatalIf(spec.stragglerDurationSec < 0.0,
+    fatalIf(stragglerDurationSec < 0.0,
             "FaultSpec: negative stragglerDurationSec");
-    fatalIf(spec.numDomains < 0, "FaultSpec: negative numDomains");
-    for (int d : spec.domainOf)
+    fatalIf(numDomains < 0, "FaultSpec: negative numDomains");
+    for (int d : domainOf)
         fatalIf(d < 0, "FaultSpec: negative domain in domainOf");
-    fatalIf(spec.domainMtbfSec < 0.0,
-            "FaultSpec: negative domainMtbfSec");
-    fatalIf(spec.domainMttrSec < 0.0,
-            "FaultSpec: negative domainMttrSec");
-    fatalIf(spec.domainMtbfSec > 0.0 && !spec.hasDomains(),
+    fatalIf(domainMtbfSec < 0.0, "FaultSpec: negative domainMtbfSec");
+    fatalIf(domainMttrSec < 0.0, "FaultSpec: negative domainMttrSec");
+    fatalIf(domainMtbfSec > 0.0 && !hasDomains(),
             "FaultSpec: domainMtbfSec needs a domain map "
             "(numDomains or domainOf)");
-    fatalIf(spec.domainMtbfSec > 0.0 && spec.domainMttrSec <= 0.0 &&
-                spec.mttrSec <= 0.0,
+    fatalIf(domainMtbfSec > 0.0 && domainMttrSec <= 0.0 &&
+                mttrSec <= 0.0,
             "FaultSpec: domain MTBF draws need a positive repair "
             "time (domainMttrSec or mttrSec)");
-    fatalIf(spec.drainFactorThreshold < 0.0,
+    fatalIf(drainFactorThreshold < 0.0,
             "FaultSpec: negative drainFactorThreshold");
-    for (const FaultEvent &e : spec.events) {
+    for (const FaultEvent &e : events) {
         fatalIf(e.kind == FaultKind::Rejoin,
                 "FaultSpec: rejoin events are reported, not "
                 "scheduled — schedule a crash with a downtime");
@@ -81,29 +71,61 @@ FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
                 "drainFactorThreshold");
         fatalIf(e.at < 0, "FaultSpec: negative event time");
         if (e.domain >= 0) {
-            // Domain-targeted events belong to the DomainFaultPlan;
-            // validate the shared bits once, on every instance.
             fatalIf(e.kind != FaultKind::Crash,
                     "FaultSpec: only crashes can target a domain");
-            fatalIf(!spec.hasDomains(),
+            fatalIf(!hasDomains(),
                     "FaultSpec: a domain-targeted crash needs a "
                     "domain map (numDomains or domainOf)");
-            fatalIf(e.domain >= spec.domainCount(),
+            fatalIf(e.domain >= domainCount(),
                     "FaultSpec: crash targets a domain beyond the "
                     "domain map");
-            continue;
-        }
-        if (e.instance != instance)
-            continue;
-        if (e.kind == FaultKind::Degrade) {
+        } else if (e.kind == FaultKind::Degrade) {
             fatalIf(e.duration <= 0,
                     "FaultSpec: degrade events need a positive "
                     "window");
             fatalIf(e.factor <= 0.0,
                     "FaultSpec: degrade factor must be positive");
         }
-        explicit_.push_back(e);
     }
+}
+
+FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
+                     std::uint64_t fleet_seed)
+    : FaultPlan(spec, instance, -1, spec.mtbfSec, spec.mttrSec,
+                spec.stragglerFraction,
+                faultStreamSeed(fleet_seed, instance))
+{
+}
+
+FaultPlan
+FaultPlan::forDomain(const FaultSpec &spec, int domain,
+                     std::uint64_t fleet_seed)
+{
+    // Domain strikes are crashes only: stragglerFraction 0 leaves
+    // pop() exactly one downtime draw per strike.
+    return FaultPlan(spec, -1, domain, spec.domainMtbfSec,
+                     spec.domainMttrSec > 0.0 ? spec.domainMttrSec
+                                              : spec.mttrSec,
+                     0.0, domainStreamSeed(fleet_seed, domain));
+}
+
+FaultPlan::FaultPlan(const FaultSpec &spec, int instance, int domain,
+                     double mtbf_sec, double mttr_sec,
+                     double straggler_fraction,
+                     std::uint64_t stream_seed)
+    : random_(mtbf_sec > 0.0), instance_(instance), domain_(domain),
+      mtbfSec_(mtbf_sec), mttrSec_(mttr_sec),
+      stragglerFraction_(straggler_fraction),
+      stragglerFactor_(spec.stragglerFactor),
+      stragglerDurationSec_(spec.stragglerDurationSec),
+      rng_(stream_seed)
+{
+    // A domain plan takes its domain's events; an instance plan
+    // takes the plain (non-domain) events aimed at its instance.
+    for (const FaultEvent &e : spec.events)
+        if (e.domain == domain &&
+            (domain >= 0 || e.instance == instance))
+            explicit_.push_back(e);
     std::stable_sort(explicit_.begin(), explicit_.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {
                          return a.at < b.at;
@@ -149,9 +171,10 @@ FaultPlan::pop()
         return e;
     }
     // Random event: one fixed draw order (kind, then window) so the
-    // stream is a pure function of the spec and the instance seed.
+    // stream is a pure function of the spec and the stream seed.
     FaultEvent e;
     e.instance = instance_;
+    e.domain = domain_;
     e.at = nextRandomAt_;
     const bool straggle =
         stragglerFraction_ > 0.0 &&
@@ -174,103 +197,41 @@ FaultPlan::pop()
     return e;
 }
 
-DomainFaultPlan::DomainFaultPlan(const FaultSpec &spec, int domain,
-                                 std::uint64_t fleet_seed)
-    : random_(spec.domainMtbfSec > 0.0), domain_(domain),
-      mtbfSec_(spec.domainMtbfSec),
-      mttrSec_(spec.domainMttrSec > 0.0 ? spec.domainMttrSec
-                                        : spec.mttrSec),
-      rng_(domainStreamSeed(fleet_seed, domain))
+namespace
 {
-    for (const FaultEvent &e : spec.events) {
-        if (e.domain != domain)
-            continue;
-        explicit_.push_back(e);
-    }
-    std::stable_sort(explicit_.begin(), explicit_.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.at < b.at;
-                     });
-    if (random_)
-        armRandom(0);
+
+/**
+ * splitmix finalizer over (seed, index) XOR a per-process salt:
+ * disjoint from the `seed + instance` workload streams by
+ * construction, disjoint across salts, and stable across standard
+ * libraries.
+ */
+std::uint64_t
+saltedStreamSeed(std::uint64_t fleet_seed, int index,
+                 std::uint64_t salt)
+{
+    std::uint64_t x = fleet_seed * 0x9e3779b97f4a7c15ULL +
+                      static_cast<std::uint64_t>(index);
+    x ^= salt;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
 }
 
-void
-DomainFaultPlan::armRandom(PicoSec after)
-{
-    nextRandomAt_ =
-        after + secToPs(rng_.exponential(1.0 / mtbfSec_));
-}
-
-bool
-DomainFaultPlan::pending() const
-{
-    return !explicit_.empty() || nextRandomAt_ >= 0;
-}
-
-PicoSec
-DomainFaultPlan::nextAt() const
-{
-    if (!pending())
-        return -1;
-    if (explicit_.empty())
-        return nextRandomAt_;
-    if (nextRandomAt_ < 0)
-        return explicit_.front().at;
-    return std::min(explicit_.front().at, nextRandomAt_);
-}
-
-FaultEvent
-DomainFaultPlan::pop()
-{
-    panicIf(!pending(),
-            "DomainFaultPlan::pop with nothing scheduled");
-    if (!explicit_.empty() &&
-        (nextRandomAt_ < 0 ||
-         explicit_.front().at <= nextRandomAt_)) {
-        FaultEvent e = explicit_.front();
-        explicit_.pop_front();
-        return e;
-    }
-    // Random domain crash: one fixed draw (downtime) so the stream
-    // is a pure function of the spec and the domain seed.
-    FaultEvent e;
-    e.kind = FaultKind::Crash;
-    e.domain = domain_;
-    e.at = nextRandomAt_;
-    e.duration = std::max<PicoSec>(
-        1, secToPs(rng_.exponential(1.0 / mttrSec_)));
-    // The domain cannot fail again until this repair window ends.
-    armRandom(e.at + e.duration);
-    return e;
-}
+} // namespace
 
 std::uint64_t
 faultStreamSeed(std::uint64_t fleet_seed, int instance)
 {
-    // splitmix finalizer over (seed, instance) plus a fault-only
-    // salt: disjoint from the `seed + instance` workload streams by
-    // construction, and stable across standard libraries.
-    std::uint64_t x = fleet_seed * 0x9e3779b97f4a7c15ULL +
-                      static_cast<std::uint64_t>(instance);
-    x ^= 0xFA17'FA17'FA17'FA17ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    return saltedStreamSeed(fleet_seed, instance,
+                            0xFA17'FA17'FA17'FA17ULL);
 }
 
 std::uint64_t
 domainStreamSeed(std::uint64_t fleet_seed, int domain)
 {
-    // Same finalizer, a domain-only salt: disjoint from every
-    // per-instance fault stream (different salt) and from every
-    // workload/expert stream (different construction).
-    std::uint64_t x = fleet_seed * 0x9e3779b97f4a7c15ULL +
-                      static_cast<std::uint64_t>(domain);
-    x ^= 0xD0'0D'D0'0D'D0'0D'D0'0DULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    return saltedStreamSeed(fleet_seed, domain,
+                            0xD0'0D'D0'0D'D0'0D'D0'0DULL);
 }
 
 namespace

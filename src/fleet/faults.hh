@@ -28,16 +28,17 @@
  *
  * Events come either from an explicit list (tests, reproducible
  * scenarios, the quickstart --faults flag) or from seeded MTBF/MTTR
- * draws. Random draws use a DEDICATED per-instance fault RNG stream
- * (faultStreamSeed) so the workload and expert-draw golden streams
- * are untouched: a fleet run with faults disabled is byte-identical
- * to the PR-6 fleet, and every faulted run double-runs
- * byte-identical (pinned in tests/fleet/test_faults.cc and the CI
- * determinism job).
+ * draws. Every timeline — one per instance, plus one per failure
+ * domain for the correlated process — is a FaultPlan on its own
+ * DEDICATED fault RNG stream (faultStreamSeed / domainStreamSeed),
+ * so the workload and expert-draw golden streams are untouched: a
+ * fleet run with faults disabled is byte-identical to the PR-6
+ * fleet, and every faulted run double-runs byte-identical (pinned
+ * in tests/fleet/test_faults.cc and the CI determinism job).
  *
  * FleetDriver (fleet/fleet.hh) owns the failure semantics — this
- * file owns only the schedule (FaultSpec -> per-instance FaultPlan)
- * and the retry discipline (RetrySpec).
+ * file owns only the schedule (FaultSpec -> per-instance and
+ * per-domain FaultPlans) and the retry discipline (RetrySpec).
  */
 
 #ifndef DUPLEX_FLEET_FAULTS_HH
@@ -102,7 +103,7 @@ struct FaultEvent
 struct FaultSpec
 {
     /** Explicit events (any instance, any order; sorted per
-     *  instance by the plan). Validated at plan construction. */
+     *  instance or domain by the plan). Validated by validate(). */
     std::vector<FaultEvent> events;
 
     /**
@@ -189,6 +190,11 @@ struct FaultSpec
         return !events.empty() || mtbfSec > 0.0 ||
                domainMtbfSec > 0.0;
     }
+
+    /** Fatal on any inconsistent knob or event (every event, not
+     *  just those aimed at instances that exist yet). FleetDriver
+     *  calls it once per faulted run. */
+    void validate() const;
 };
 
 /** How lost requests flow back through the router after a crash. */
@@ -215,12 +221,17 @@ struct RetrySpec
 };
 
 /**
- * The materialized fault timeline of ONE instance: explicit events
- * filtered and sorted, plus the lazily drawn random process. The
- * random stream re-arms only after the previous fault's window ends
- * (a machine cannot crash while it is already down), so draws are a
- * deterministic function of (spec, instance, seed) alone — never of
- * fleet interleaving.
+ * The materialized fault timeline of ONE instance or ONE failure
+ * domain: explicit events filtered and sorted, plus the lazily drawn
+ * random process. The random stream re-arms only after the previous
+ * fault's window ends (a machine cannot crash while it is already
+ * down), so draws are a deterministic function of (spec, target,
+ * seed) alone — never of fleet interleaving.
+ *
+ * An instance plan draws crashes and straggler windows at mtbfSec;
+ * a domain plan (forDomain) draws whole-domain crashes at
+ * domainMtbfSec, one downtime draw per strike, and the FleetDriver
+ * fans each popped event out to every live member of the domain.
  */
 class FaultPlan
 {
@@ -236,6 +247,16 @@ class FaultPlan
     FaultPlan(const FaultSpec &spec, int instance,
               std::uint64_t fleet_seed);
 
+    /**
+     * Build domain @p domain's correlated-crash timeline under
+     * @p spec: its domain-targeted explicit crashes plus the
+     * domainMtbfSec process, seeded from domainStreamSeed(
+     * @p fleet_seed, @p domain) — disjoint from every instance
+     * fault stream. Popped events carry the domain, not an instance.
+     */
+    static FaultPlan forDomain(const FaultSpec &spec, int domain,
+                               std::uint64_t fleet_seed);
+
     /** True when another fault is scheduled. */
     bool pending() const;
 
@@ -250,61 +271,20 @@ class FaultPlan
     FaultEvent pop();
 
   private:
+    FaultPlan(const FaultSpec &spec, int instance, int domain,
+              double mtbf_sec, double mttr_sec,
+              double straggler_fraction, std::uint64_t stream_seed);
+
     std::deque<FaultEvent> explicit_;
 
     bool random_ = false;
     int instance_ = -1;
+    int domain_ = -1;
     double mtbfSec_ = 0.0;
     double mttrSec_ = 0.0;
     double stragglerFraction_ = 0.0;
     double stragglerFactor_ = 1.0;
     double stragglerDurationSec_ = 0.0;
-    Rng rng_{0};
-    PicoSec nextRandomAt_ = -1;
-
-    void armRandom(PicoSec after);
-};
-
-/**
- * The materialized fault timeline of ONE failure domain: explicit
- * domain-targeted crashes sorted, plus the lazily drawn correlated
- * crash process (domainMtbfSec). Exactly the FaultPlan discipline —
- * the stream re-arms only after the previous crash's repair window
- * ends, so draws are a deterministic function of (spec, domain,
- * seed) alone. The FleetDriver fans each popped event out to every
- * live instance the domain map places in the domain.
- */
-class DomainFaultPlan
-{
-  public:
-    /** An inert plan: pending() is false forever. */
-    DomainFaultPlan() = default;
-
-    /**
-     * Build domain @p domain's timeline under @p spec. The fault
-     * RNG is seeded from domainStreamSeed(@p fleet_seed,
-     * @p domain) — disjoint from every instance fault stream.
-     */
-    DomainFaultPlan(const FaultSpec &spec, int domain,
-                    std::uint64_t fleet_seed);
-
-    /** True when another domain crash is scheduled. */
-    bool pending() const;
-
-    /** Strike time of the next crash; -1 when none pending. */
-    PicoSec nextAt() const;
-
-    /** Consume the next crash (draws downtime, then re-arms the
-     *  process after the repair window closes). */
-    FaultEvent pop();
-
-  private:
-    std::deque<FaultEvent> explicit_;
-
-    bool random_ = false;
-    int domain_ = -1;
-    double mtbfSec_ = 0.0;
-    double mttrSec_ = 0.0;
     Rng rng_{0};
     PicoSec nextRandomAt_ = -1;
 

@@ -12,9 +12,9 @@ namespace duplex
 
 /**
  * Forwards one instance's engine callbacks to the fleet observers,
- * tagged with the instance id, and counts retirements. begin/end
- * hooks are fleet-level (onFleetBegin/onFleetEnd), so the
- * SimObserver ones stay unused.
+ * tagged with the instance id, and counts retirements into the
+ * fleet's result. begin/end hooks are fleet-level
+ * (onFleetBegin/onFleetEnd), so the SimObserver ones stay unused.
  */
 class InstanceObserver : public SimObserver
 {
@@ -35,7 +35,7 @@ class InstanceObserver : public SimObserver
     void onRequestRetired(const Request &request,
                           PicoSec now) override
     {
-        ++retired_;
+        ++fleet_.result_.requestsRetired;
         for (FleetObserver *o : observers_)
             o->onRequestRetired(instance_, request, now);
         // Retirement feedback into the shared stream, after the
@@ -46,13 +46,10 @@ class InstanceObserver : public SimObserver
             fleet_.shared_->notifyRetired(request, now);
     }
 
-    std::int64_t retired() const { return retired_; }
-
   private:
     FleetDriver &fleet_;
     const std::vector<FleetObserver *> &observers_;
     int instance_;
-    std::int64_t retired_ = 0;
 };
 
 /** One serving instance: system + steppable loop + router-side
@@ -69,7 +66,6 @@ struct FleetDriver::Instance
     PicoSec downSince = -1;  //!< when the open downtime began
     PicoSec rejoinAt = -1;   //!< repair time; -1 = never rejoins
     PicoSec degradeEnd = -1; //!< straggler window close; -1 = none
-    PicoSec downtime = 0;    //!< closed downtime accrued so far
     FaultPlan plan;          //!< this instance's fault timeline
 
     /** Failure domain the fault topology places the instance in;
@@ -102,7 +98,12 @@ struct FleetDriver::Instance
     std::deque<std::int64_t> queuedKv;
     std::int64_t queuedKvSum = 0;
 
-    std::int64_t routed = 0;
+    /** Up, admitting and not retired: the router may pick it.
+     *  Crashed and proactively draining instances are ejected. */
+    bool routable() const
+    {
+        return !retired && accepting && !down && !faultDrain;
+    }
 
     /** Drop the front entries the batcher admitted since last sync. */
     void syncQueuedKv()
@@ -146,11 +147,7 @@ FleetDriver::snapshot() const
     std::vector<InstanceStatus> out;
     out.reserve(instances_.size());
     for (const auto &inst : instances_) {
-        // Crashed (down) and proactively draining instances are
-        // ejected outright — the policy never sees one, the
-        // failure-semantics mirror of the draining rule.
-        if (inst->retired || !inst->accepting || inst->down ||
-            inst->faultDrain)
+        if (!inst->routable())
             continue;
         InstanceStatus s;
         s.id = inst->id;
@@ -197,8 +194,12 @@ FleetDriver::spawn(PicoSec now)
     // The domain map is topology, not a fault process: filled
     // whenever domains are configured so domain-aware routing works
     // even before any fault fires.
-    if (config_.faults.hasDomains())
+    if (config_.faults.hasDomains()) {
         inst->domain = config_.faults.domainFor(inst->id);
+        ++result_.perDomain[static_cast<std::size_t>(inst->domain)]
+              .instances;
+    }
+    result_.perInstanceDowntime.push_back(0);
     Instance &ref = *inst;
     instances_.push_back(std::move(inst));
     for (FleetObserver *o : observers_)
@@ -222,9 +223,8 @@ FleetDriver::observedUnavailability(PicoSec now) const
 {
     if (now <= 0 || instances_.empty())
         return 0.0;
-    PicoSec down = 0;
+    PicoSec down = result_.totalDowntime;
     for (const auto &inst : instances_) {
-        down += inst->downtime;
         // Open downtime interval: count what has accrued so far.
         if (inst->down && inst->downSince >= 0 &&
             inst->downSince < now)
@@ -265,7 +265,7 @@ FleetDriver::maybeScale(PicoSec now)
         event.kind = ScaleEvent::Kind::Up;
         event.instance = inst.id;
         event.acceptingAfter = accepting + 1;
-        ++scaleUps_;
+        ++result_.scaleUps;
     } else if (qps < spec.downQpsPerInstance * capacity &&
                accepting > spec.minInstances) {
         // Drain the highest-id accepting instance: stop routing to
@@ -279,52 +279,82 @@ FleetDriver::maybeScale(PicoSec now)
         event.kind = ScaleEvent::Kind::Drain;
         event.instance = victim->id;
         event.acceptingAfter = accepting - 1;
-        ++scaleDowns_;
+        ++result_.scaleDowns;
     } else {
         return;
     }
     lastScaleTime_ = now;
-    scaleEvents_.push_back(event);
+    result_.scaleEvents.push_back(event);
     for (FleetObserver *o : observers_)
         o->onScaleEvent(event);
 }
 
 void
-FleetDriver::retireInstance(Instance &inst, FleetResult &result)
+FleetDriver::retireInstance(Instance &inst)
 {
     panicIf(!inst.loop->idle(),
             "retiring a fleet instance with in-flight requests");
     inst.retired = true;
     // A draining instance can crash out (its work already evicted
     // and re-routed); retirement closes the downtime interval.
-    if (inst.down) {
-        const PicoSec d = std::max<PicoSec>(
-            0, inst.loop->now() - inst.downSince);
-        totalDowntime_ += d;
-        inst.downtime += d;
-        inst.down = false;
-        inst.downSince = -1;
-        inst.rejoinAt = -1;
-    }
+    if (inst.down)
+        closeDowntime(inst, inst.loop->now());
     ScaleEvent event;
     event.kind = ScaleEvent::Kind::Retire;
     event.time = inst.loop->now();
     event.instance = inst.id;
     event.acceptingAfter = acceptingCount();
-    scaleEvents_.push_back(event);
+    result_.scaleEvents.push_back(event);
     for (FleetObserver *o : observers_)
         o->onScaleEvent(event);
-    (void)result; // folding happens once at end, in id order
 }
 
 bool
 FleetDriver::anyRoutable() const
 {
     for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting && !inst->down &&
-            !inst->faultDrain)
+        if (inst->routable())
             return true;
     return false;
+}
+
+/**
+ * Fire every fault due by simulated time @p at (0: by each
+ * instance's own clock) across the fleet, before any routing or
+ * stepping decision reads fleet state — faults strike at stage
+ * boundaries, and the last step may have carried an instance's
+ * clock past a scheduled strike. Domain plans pump first: their
+ * draws are interleaving-free, so the furthest clock is a safe
+ * horizon, and each popped crash fans out to the domain's live
+ * members, which apply it at their own stage boundary. Returns
+ * true when anything changed (a crash changes who is busy and may
+ * have queued earlier retries). A no-op without faults.
+ */
+bool
+FleetDriver::pumpFaults(PicoSec at)
+{
+    if (!faultsEnabled_)
+        return false;
+    if (!domainPlans_.empty()) {
+        PicoSec horizon = at;
+        for (const auto &inst : instances_)
+            if (!inst->retired)
+                horizon = std::max(horizon, inst->loop->now());
+        for (FaultPlan &plan : domainPlans_)
+            while (plan.pending() && plan.nextAt() <= horizon) {
+                const FaultEvent e = plan.pop();
+                for (auto &inst : instances_)
+                    if (!inst->retired && inst->domain == e.domain)
+                        inst->domainPending.push_back(e);
+            }
+    }
+    bool changed = false;
+    for (auto &inst : instances_)
+        if (!inst->retired)
+            changed = serviceFaults(
+                          *inst, std::max(at, inst->loop->now())) ||
+                      changed;
+    return changed;
 }
 
 /**
@@ -396,27 +426,6 @@ FleetDriver::serviceFaults(Instance &inst, PicoSec horizon)
     }
 }
 
-/**
- * Pop every domain crash due by @p horizon from the per-domain
- * plans and fan it out to the domain's live members; each member
- * applies it at its own stage boundary through serviceFaults. Draws
- * happen here — once, on the domain's dedicated stream — so they
- * stay a pure function of (spec, domain, seed) no matter how the
- * member clocks interleave.
- */
-void
-FleetDriver::serviceDomainFaults(PicoSec horizon)
-{
-    for (DomainFaultPlan &plan : domainPlans_) {
-        while (plan.pending() && plan.nextAt() <= horizon) {
-            const FaultEvent e = plan.pop();
-            for (auto &inst : instances_)
-                if (!inst->retired && inst->domain == e.domain)
-                    inst->domainPending.push_back(e);
-        }
-    }
-}
-
 void
 FleetDriver::applyCrash(Instance &inst, const FaultEvent &event)
 {
@@ -445,15 +454,11 @@ FleetDriver::applyCrash(Instance &inst, const FaultEvent &event)
     inst.rejoinAt = event.duration < 0
                         ? -1
                         : std::max(now, event.at + event.duration);
-    ++crashes_;
+    ++result_.crashes;
     if (inst.domain >= 0)
-        ++domainCrashes_[static_cast<std::size_t>(inst.domain)];
-    FaultEvent rec = event;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+        ++result_.perDomain[static_cast<std::size_t>(inst.domain)]
+              .crashes;
+    recordFault(inst, event, now);
     for (Request &r : lost)
         scheduleRetry(std::move(r), inst.id, now);
 }
@@ -468,13 +473,8 @@ FleetDriver::applyDegrade(Instance &inst, const FaultEvent &event)
     // past the start; a window fully consumed mid-stage is cleared
     // by the next serviceFaults pass without scaling anything.
     inst.degradeEnd = event.at + event.duration;
-    ++degradeWindows_;
-    FaultEvent rec = event;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+    ++result_.degradeWindows;
+    recordFault(inst, event, now);
     // Proactive drain: a straggler this heavy is served around, not
     // through — stop admitting and hand the queued requests back to
     // the router instead of waiting for a crash to retry them.
@@ -492,14 +492,10 @@ FleetDriver::applyDrain(Instance &inst, const FaultEvent &event,
     inst.loop->evictQueued(queued);
     inst.queuedKv.clear();
     inst.queuedKvSum = 0;
-    ++drains_;
+    ++result_.drains;
     FaultEvent rec = event;
     rec.kind = FaultKind::Drain;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+    recordFault(inst, rec, now);
     // Migration, not retry: the queued requests were never
     // admitted, so no work is lost and no retry budget is spent.
     // They re-enter the router through the pending heap at the
@@ -509,16 +505,10 @@ FleetDriver::applyDrain(Instance &inst, const FaultEvent &event,
     // a *different* instance whose queue may already sit past the
     // original stamp.
     for (Request &r : queued) {
-        ++requestsMigrated_;
+        ++result_.requestsMigrated;
         const PicoSec at = std::max(now, r.arrival);
         r.arrival = at;
-        retries_.push_back({at, retrySeq_++, std::move(r)});
-        std::push_heap(
-            retries_.begin(), retries_.end(),
-            [](const PendingRetry &a, const PendingRetry &b) {
-                return a.at > b.at ||
-                       (a.at == b.at && a.seq > b.seq);
-            });
+        pushPending(std::move(r), at);
     }
 }
 
@@ -526,37 +516,67 @@ void
 FleetDriver::rejoinInstance(Instance &inst, PicoSec at)
 {
     panicIf(!inst.down, "rejoining an instance that is not down");
-    const PicoSec d = std::max<PicoSec>(0, at - inst.downSince);
-    totalDowntime_ += d;
-    inst.downtime += d;
-    inst.down = false;
-    inst.downSince = -1;
-    inst.rejoinAt = -1;
+    closeDowntime(inst, at);
     // Empty batch, clock resumed at the repair time (no-op when the
     // crash-frozen clock already sits past it).
     inst.loop->advanceTo(at);
     FaultEvent rec;
     rec.kind = FaultKind::Rejoin;
-    rec.instance = inst.id;
-    rec.at = at;
-    faultRecords_.push_back(rec);
+    recordFault(inst, rec, at);
+}
+
+/** Append @p event to the timeline as applied to @p inst at its
+ *  effective time @p now, and tell the observers. */
+void
+FleetDriver::recordFault(const Instance &inst, FaultEvent event,
+                         PicoSec now)
+{
+    event.instance = inst.id;
+    event.at = now;
+    result_.faultEvents.push_back(event);
     for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, at);
+        o->onFault(inst.id, event, now);
+}
+
+/** Close @p inst's open downtime interval at @p end and bring it
+ *  back up in the books (fleet, instance and domain totals). */
+void
+FleetDriver::closeDowntime(Instance &inst, PicoSec end)
+{
+    const PicoSec d = std::max<PicoSec>(0, end - inst.downSince);
+    result_.totalDowntime += d;
+    result_.perInstanceDowntime[static_cast<std::size_t>(inst.id)] +=
+        d;
+    if (inst.domain >= 0)
+        result_.perDomain[static_cast<std::size_t>(inst.domain)]
+            .downtime += d;
+    inst.down = false;
+    inst.downSince = -1;
+    inst.rejoinAt = -1;
+}
+
+/** Queue @p request to re-enter the router at @p at. */
+void
+FleetDriver::pushPending(Request request, PicoSec at)
+{
+    retries_.push_back({at, retrySeq_++, std::move(request)});
+    std::push_heap(retries_.begin(), retries_.end(),
+                   PendingRetry::later);
 }
 
 void
 FleetDriver::scheduleRetry(Request request, int instance,
                            PicoSec now)
 {
-    ++requestsLost_;
-    lostWorkTokens_ += request.generated;
+    ++result_.requestsLost;
+    result_.lostWorkTokens += request.generated;
     const int dom =
         instances_[static_cast<std::size_t>(instance)]->domain;
     if (dom >= 0)
-        ++domainLost_[static_cast<std::size_t>(dom)];
+        ++result_.perDomain[static_cast<std::size_t>(dom)].lost;
     const int attempt = request.retries + 1;
     if (request.retries >= config_.retry.maxAttempts) {
-        ++requestsDropped_;
+        ++result_.requestsDropped;
         for (FleetObserver *o : observers_)
             o->onRetry(instance, request, attempt, true, now);
         return;
@@ -572,15 +592,10 @@ FleetDriver::scheduleRetry(Request request, int instance,
     request.tokenTimes.clear();
     const PicoSec at = now + config_.retry.backoffFor(attempt);
     request.arrival = at;
-    ++retriesScheduled_;
+    ++result_.retriesScheduled;
     for (FleetObserver *o : observers_)
         o->onRetry(instance, request, attempt, false, at);
-    retries_.push_back({at, retrySeq_++, std::move(request)});
-    std::push_heap(retries_.begin(), retries_.end(),
-                   [](const PendingRetry &a, const PendingRetry &b) {
-                       return a.at > b.at ||
-                              (a.at == b.at && a.seq > b.seq);
-                   });
+    pushPending(std::move(request), at);
 }
 
 /**
@@ -669,21 +684,18 @@ FleetDriver::run()
                 "RetrySpec: negative backoffSec");
         fatalIf(config_.retry.multiplier <= 0.0,
                 "RetrySpec: multiplier must be positive");
+        config_.faults.validate();
     }
-    // Failure-domain topology: per-domain counters whenever a
-    // domain map exists (domain-aware routing works without any
-    // fault process), correlated-crash plans only under faults.
+    // Failure-domain topology: per-domain books whenever a domain
+    // map exists (domain-aware routing works without any fault
+    // process), correlated-crash plans only under faults.
     const int numDomains = config_.faults.domainCount();
-    if (numDomains > 0) {
-        domainRouted_.assign(static_cast<std::size_t>(numDomains),
-                             0);
-        domainLost_.assign(static_cast<std::size_t>(numDomains), 0);
-        domainCrashes_.assign(static_cast<std::size_t>(numDomains),
-                              0);
+    result_.perDomain.resize(static_cast<std::size_t>(numDomains));
+    for (int d = 0; d < numDomains; ++d) {
+        result_.perDomain[static_cast<std::size_t>(d)].domain = d;
         if (faultsEnabled_)
-            for (int d = 0; d < numDomains; ++d)
-                domainPlans_.emplace_back(config_.faults, d,
-                                          config_.sim.seed);
+            domainPlans_.push_back(FaultPlan::forDomain(
+                config_.faults, d, config_.sim.seed));
     }
 
     for (int i = 0; i < initial; ++i)
@@ -695,8 +707,7 @@ FleetDriver::run()
             "fleet autoscaling needs an open-loop workload "
             "(qps > 0)");
 
-    FleetResult result;
-    result.peakInstances = initial;
+    result_.peakInstances = initial;
 
     for (;;) {
         // Retire drained instances the moment they go idle, so they
@@ -704,28 +715,11 @@ FleetDriver::run()
         for (auto &inst : instances_)
             if (!inst->retired && !inst->accepting &&
                 inst->loop->idle())
-                retireInstance(*inst, result);
+                retireInstance(*inst);
 
-        // Fire faults due at each instance's own clock before any
-        // routing or stepping decision reads fleet state — faults
-        // strike at stage boundaries, and the last step may have
-        // carried an instance's clock past a scheduled strike.
-        // Domain plans pump first (draws are interleaving-free, so
-        // the furthest clock is a safe horizon); each member then
-        // applies its share at its own stage boundary.
-        if (faultsEnabled_) {
-            if (!domainPlans_.empty()) {
-                PicoSec horizon = 0;
-                for (const auto &inst : instances_)
-                    if (!inst->retired)
-                        horizon = std::max(horizon,
-                                           inst->loop->now());
-                serviceDomainFaults(horizon);
-            }
-            for (auto &inst : instances_)
-                if (!inst->retired)
-                    serviceFaults(*inst, inst->loop->now());
-        }
+        // Faults due at each instance's own clock strike before any
+        // routing or stepping decision reads fleet state.
+        pumpFaults(0);
 
         // Route every arrival no BUSY instance is still behind: a
         // busy instance's state at the arrival time is not yet
@@ -783,38 +777,14 @@ FleetDriver::run()
             const PicoSec at =
                 !fromRetry && shared.closedLoop() ? allMin
                                                   : arrival;
-            if (faultsEnabled_) {
-                // Fire anything due by the routing time (rejoins
-                // included), then re-evaluate: a crash changes who
-                // is busy and may have queued earlier retries.
-                if (!domainPlans_.empty()) {
-                    PicoSec horizon = at;
-                    for (const auto &inst : instances_)
-                        if (!inst->retired)
-                            horizon = std::max(horizon,
-                                               inst->loop->now());
-                    serviceDomainFaults(horizon);
-                }
-                bool changed = false;
-                for (auto &inst : instances_)
-                    if (!inst->retired)
-                        changed =
-                            serviceFaults(
-                                *inst,
-                                std::max(at, inst->loop->now())) ||
-                            changed;
-                if (changed)
-                    continue;
-            }
+            // Fire anything due by the routing time (rejoins
+            // included), then re-evaluate.
+            if (pumpFaults(at))
+                continue;
             Request r;
             if (fromRetry) {
-                std::pop_heap(
-                    retries_.begin(), retries_.end(),
-                    [](const PendingRetry &a,
-                       const PendingRetry &b) {
-                        return a.at > b.at ||
-                               (a.at == b.at && a.seq > b.seq);
-                    });
+                std::pop_heap(retries_.begin(), retries_.end(),
+                              PendingRetry::later);
                 r = std::move(retries_.back().req);
                 retries_.pop_back();
             } else {
@@ -840,9 +810,7 @@ FleetDriver::run()
             panicIf(target < 0 ||
                         target >= static_cast<int>(
                                       instances_.size()) ||
-                        instances_[target]->retired ||
-                        instances_[target]->down ||
-                        !instances_[target]->accepting,
+                        !instances_[target]->routable(),
                     "routing policy '" + config_.policy +
                         "' picked an unroutable instance");
             Instance &inst = *instances_[target];
@@ -852,14 +820,14 @@ FleetDriver::run()
             inst.loop->pushArrival(std::move(r));
             inst.queuedKv.push_back(kv);
             inst.queuedKvSum += kv;
-            ++inst.routed;
             if (inst.domain >= 0)
-                ++domainRouted_[
-                    static_cast<std::size_t>(inst.domain)];
-            ++result.requestsRouted;
+                ++result_.perDomain[static_cast<std::size_t>(
+                                        inst.domain)]
+                      .routed;
+            ++result_.requestsRouted;
         }
-        result.peakInstances = std::max(
-            result.peakInstances,
+        result_.peakInstances = std::max(
+            result_.peakInstances,
             static_cast<int>(std::count_if(
                 instances_.begin(), instances_.end(),
                 [](const auto &i) { return !i->retired; })));
@@ -909,7 +877,6 @@ FleetDriver::run()
     // Fold per-instance results in id order (retired instances'
     // loops are finished here too — their state froze at
     // retirement).
-    result.perInstance.reserve(instances_.size());
     PicoSec makespan = 0;
     for (const auto &inst : instances_)
         makespan = std::max(makespan, inst->loop->now());
@@ -919,82 +886,39 @@ FleetDriver::run()
     // makespan (availability is measured over the run window).
     for (auto &inst : instances_)
         if (inst->down) {
-            const PicoSec end =
-                inst->rejoinAt >= 0 && inst->rejoinAt < makespan
-                    ? inst->rejoinAt
-                    : makespan;
-            const PicoSec d =
-                std::max<PicoSec>(0, end - inst->downSince);
-            totalDowntime_ += d;
-            inst->downtime += d;
+            const PicoSec r = inst->rejoinAt;
+            closeDowntime(*inst, r >= 0 && r < makespan ? r : makespan);
         }
+    result_.perInstance.reserve(instances_.size());
     for (auto &inst : instances_) {
-        result.perInstanceDowntime.push_back(inst->downtime);
         SimResult sr = inst->loop->finish();
-        result.metrics.tbtMs.merge(sr.metrics.tbtMs);
-        result.metrics.t2ftMs.merge(sr.metrics.t2ftMs);
-        result.metrics.e2eMs.merge(sr.metrics.e2eMs);
-        result.metrics.totalTokens += sr.metrics.totalTokens;
-        result.metrics.decodingOnlyStages +=
+        result_.metrics.tbtMs.merge(sr.metrics.tbtMs);
+        result_.metrics.t2ftMs.merge(sr.metrics.t2ftMs);
+        result_.metrics.e2eMs.merge(sr.metrics.e2eMs);
+        result_.metrics.totalTokens += sr.metrics.totalTokens;
+        result_.metrics.decodingOnlyStages +=
             sr.metrics.decodingOnlyStages;
-        result.metrics.mixedStages += sr.metrics.mixedStages;
-        result.totals += sr.totals;
-        result.generatedTokens += sr.generatedTokens;
-        result.peakBatch = std::max(result.peakBatch, sr.peakBatch);
-        result.prefixCache.merge(sr.prefixCache);
-        result.requestsRetired += inst->observer->retired();
-        result.perInstance.push_back(std::move(sr));
+        result_.metrics.mixedStages += sr.metrics.mixedStages;
+        result_.totals += sr.totals;
+        result_.generatedTokens += sr.generatedTokens;
+        result_.peakBatch = std::max(result_.peakBatch, sr.peakBatch);
+        result_.prefixCache.merge(sr.prefixCache);
+        result_.perInstance.push_back(std::move(sr));
     }
-    result.metrics.elapsed = makespan;
-    result.scaleEvents = scaleEvents_;
-    result.scaleUps = scaleUps_;
-    result.scaleDowns = scaleDowns_;
-    result.crashes = crashes_;
-    result.degradeWindows = degradeWindows_;
-    result.drains = drains_;
-    result.requestsLost = requestsLost_;
-    result.lostWorkTokens = lostWorkTokens_;
-    result.retriesScheduled = retriesScheduled_;
-    result.requestsDropped = requestsDropped_;
-    result.requestsMigrated = requestsMigrated_;
-    result.totalDowntime = totalDowntime_;
-    result.faultEvents = faultRecords_;
-
-    // Per-domain availability: counters folded with per-instance
-    // downtime, both measures (time-based and request-weighted)
-    // over the run window.
-    if (numDomains > 0) {
-        result.perDomain.resize(
-            static_cast<std::size_t>(numDomains));
-        for (int d = 0; d < numDomains; ++d) {
-            DomainAvailability &da =
-                result.perDomain[static_cast<std::size_t>(d)];
-            da.domain = d;
-            da.crashes =
-                domainCrashes_[static_cast<std::size_t>(d)];
-            da.routed = domainRouted_[static_cast<std::size_t>(d)];
-            da.lost = domainLost_[static_cast<std::size_t>(d)];
+    result_.metrics.elapsed = makespan;
+    // Time-based per-domain availability over the run window.
+    for (DomainAvailability &da : result_.perDomain)
+        if (makespan > 0 && da.instances > 0) {
+            const double frac =
+                static_cast<double>(da.downtime) /
+                (static_cast<double>(makespan) *
+                 static_cast<double>(da.instances));
+            da.availability = frac >= 1.0 ? 0.0 : 1.0 - frac;
         }
-        for (const auto &inst : instances_)
-            if (inst->domain >= 0) {
-                DomainAvailability &da = result.perDomain[
-                    static_cast<std::size_t>(inst->domain)];
-                ++da.instances;
-                da.downtime += inst->downtime;
-            }
-        for (DomainAvailability &da : result.perDomain)
-            if (makespan > 0 && da.instances > 0) {
-                const double frac =
-                    static_cast<double>(da.downtime) /
-                    (static_cast<double>(makespan) *
-                     static_cast<double>(da.instances));
-                da.availability = frac >= 1.0 ? 0.0 : 1.0 - frac;
-            }
-    }
 
     for (FleetObserver *o : observers_)
-        o->onFleetEnd(result);
-    return result;
+        o->onFleetEnd(result_);
+    return std::move(result_);
 }
 
 // ------------------------------------------------ FleetUtilization
@@ -1008,6 +932,12 @@ FleetUtilization::at(int instance)
         stats_.push_back(s);
     }
     return stats_[static_cast<std::size_t>(instance)];
+}
+
+void
+FleetUtilization::onInstanceUp(int instance, PicoSec)
+{
+    at(instance);
 }
 
 void

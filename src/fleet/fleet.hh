@@ -396,7 +396,8 @@ class FleetDriver
     struct Instance;
 
     /** Per-instance SimObserver shim (fleet.cc); reaches back into
-     *  shared_ to deliver retirement feedback. */
+     *  shared_ to deliver retirement feedback and counts retirements
+     *  into result_. */
     friend class InstanceObserver;
 
     FleetConfig config_;
@@ -418,66 +419,63 @@ class FleetDriver
      */
     ArrivalQueue *shared_ = nullptr;
 
+    /** The run's outcome, written in place as events happen and
+     *  finished (per-instance fold, availability) at the end. */
+    FleetResult result_;
+
     // --- autoscaling state -------------------------------------
     std::deque<PicoSec> arrivalWindow_;
     PicoSec lastScaleTime_ = 0;
-    std::vector<ScaleEvent> scaleEvents_;
-    int scaleUps_ = 0;
-    int scaleDowns_ = 0;
 
     // --- fault-injection state ---------------------------------
     bool faultsEnabled_ = false;
 
-    /** A crashed-out request waiting out its retry backoff. */
+    /** A request waiting to re-enter the router: a crash retry
+     *  waiting out its backoff, or a queued request a proactive
+     *  drain migrated. */
     struct PendingRetry
     {
         PicoSec at = 0;       //!< when the retry becomes routable
         std::int64_t seq = 0; //!< FIFO tiebreak among equal times
         Request req;
+
+        /** Heap order on (at, seq): the earliest sits on top. */
+        static bool later(const PendingRetry &a, const PendingRetry &b)
+        {
+            return a.at > b.at || (a.at == b.at && a.seq > b.seq);
+        }
     };
 
-    /** Min-heap on (at, seq) via std::push_heap/pop_heap with the
-     *  retryLater comparator (fleet.cc). front() = earliest. */
+    /** Min-heap via std::push_heap/pop_heap with
+     *  PendingRetry::later. front() = earliest. */
     std::vector<PendingRetry> retries_;
     std::int64_t retrySeq_ = 0;
 
-    int crashes_ = 0;
-    int degradeWindows_ = 0;
-    int drains_ = 0;
-    std::int64_t requestsLost_ = 0;
-    std::int64_t lostWorkTokens_ = 0;
-    std::int64_t retriesScheduled_ = 0;
-    std::int64_t requestsDropped_ = 0;
-    std::int64_t requestsMigrated_ = 0;
-    PicoSec totalDowntime_ = 0;
-    std::vector<FaultEvent> faultRecords_;
-
-    /** One correlated-crash timeline per failure domain (empty
-     *  without a domain map or with faults disabled). */
-    std::vector<DomainFaultPlan> domainPlans_;
-
-    // Per-domain availability counters, indexed by domain id (all
-    // empty without a domain map).
-    std::vector<std::int64_t> domainRouted_;
-    std::vector<std::int64_t> domainLost_;
-    std::vector<int> domainCrashes_;
+    /** One correlated-crash timeline per failure domain
+     *  (FaultPlan::forDomain; empty without a domain map or with
+     *  faults disabled). */
+    std::vector<FaultPlan> domainPlans_;
 
     int acceptingCount() const;
     std::vector<InstanceStatus> snapshot() const;
     Instance &spawn(PicoSec now);
     void maybeScale(PicoSec now);
-    void retireInstance(Instance &inst, FleetResult &result);
+    void retireInstance(Instance &inst);
     double observedQps(PicoSec now);
     double observedUnavailability(PicoSec now) const;
 
     bool anyRoutable() const;
+    bool pumpFaults(PicoSec at);
     bool serviceFaults(Instance &inst, PicoSec horizon);
-    void serviceDomainFaults(PicoSec horizon);
     void applyCrash(Instance &inst, const FaultEvent &event);
     void applyDegrade(Instance &inst, const FaultEvent &event);
     void applyDrain(Instance &inst, const FaultEvent &event,
                     PicoSec now);
     void rejoinInstance(Instance &inst, PicoSec at);
+    void recordFault(const Instance &inst, FaultEvent event,
+                     PicoSec now);
+    void closeDowntime(Instance &inst, PicoSec end);
+    void pushPending(Request request, PicoSec at);
     void scheduleRetry(Request request, int instance, PicoSec now);
     bool forceRejoinEarliest();
     bool forceDrainEndEarliest();
@@ -546,13 +544,15 @@ class FleetUtilization : public FleetObserver
         std::int64_t retired = 0;
     };
 
+    void onInstanceUp(int instance, PicoSec now) override;
     void onRequestRouted(int instance, const Request &request,
                          PicoSec now) override;
     void onStage(int instance, const StageObservation &obs) override;
     void onRequestRetired(int instance, const Request &request,
                           PicoSec now) override;
 
-    /** Per-instance stats, in instance-id order. */
+    /** Per-instance stats, in instance-id order: one row per
+     *  instance that came up, even one that never served. */
     const std::vector<InstanceStats> &instances() const
     {
         return stats_;

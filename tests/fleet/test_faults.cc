@@ -365,6 +365,70 @@ TEST(Faults, RandomFaultsAreDeterministic)
     expectSameFleetResult(a, b);
 }
 
+TEST(Faults, MixedFaultStreamsArePinned)
+{
+    // The double-run tests above only compare a build with itself.
+    // This one pins every fault stream — per-instance crashes and
+    // stragglers, correlated domain crashes, proactive drains and
+    // the migrations they trigger — against constants, so a
+    // refactor of the fault machinery cannot silently reorder or
+    // redraw any of them.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 40.0;
+    fc.sim.numRequests = 96;
+    fc.instances = 4;
+    fc.policy = "healthy-first";
+    fc.faults.mtbfSec = 1.5;
+    fc.faults.mttrSec = 0.5;
+    fc.faults.stragglerFraction = 0.5;
+    fc.faults.numDomains = 2;
+    fc.faults.domainMtbfSec = 1.5;
+    fc.faults.domainMttrSec = 0.5;
+    fc.faults.drainFactorThreshold = 2.0;
+
+    const FleetResult r = FleetDriver(fc).run();
+
+    using K = FaultKind;
+    const std::vector<FaultEvent> expected = {
+        {K::Degrade, 2, -1, 122771226235, 219012786110, 3},
+        {K::Drain, 2, -1, 122771226235, 219012786110, 3},
+        {K::Crash, 3, 1, 228456946229, 1532508334746, 1},
+        {K::Crash, 1, 1, 229239933938, 1532508334746, 1},
+        {K::Degrade, 2, -1, 1614107150912, 191927213502, 3},
+        {K::Drain, 2, -1, 1614107150912, 191927213502, 3},
+        {K::Rejoin, 1, -1, 1758312338067, -1, 1},
+        {K::Rejoin, 3, -1, 1758312338067, -1, 1},
+        {K::Crash, 0, -1, 1863116059891, 1963769457929, 1},
+        {K::Degrade, 1, -1, 2063064571737, 590740722541, 3},
+        {K::Drain, 1, -1, 2063064571737, 590740722541, 3},
+        {K::Crash, 2, 0, 2144205691230, 852085177624, 1},
+        {K::Crash, 1, 1, 2343623319834, 144018534470, 1},
+        {K::Crash, 3, 1, 2349015793135, 144018534470, 1},
+        {K::Rejoin, 1, -1, 2486934509095, -1, 1},
+        {K::Rejoin, 3, -1, 2486934509095, -1, 1},
+        {K::Degrade, 1, -1, 2692475785339, 643012103967, 3},
+        {K::Drain, 1, -1, 2692475785339, 643012103967, 3},
+    };
+    ASSERT_EQ(r.faultEvents.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const FaultEvent &got = r.faultEvents[i];
+        const FaultEvent &want = expected[i];
+        EXPECT_EQ(got.kind, want.kind) << "event " << i;
+        EXPECT_EQ(got.instance, want.instance) << "event " << i;
+        EXPECT_EQ(got.domain, want.domain) << "event " << i;
+        EXPECT_EQ(got.at, want.at) << "event " << i;
+        EXPECT_EQ(got.duration, want.duration) << "event " << i;
+        EXPECT_EQ(got.factor, want.factor) << "event " << i;
+    }
+    EXPECT_EQ(r.crashes, 6);
+    EXPECT_EQ(r.degradeWindows, 4);
+    EXPECT_EQ(r.drains, 4);
+    EXPECT_EQ(r.requestsMigrated, 19);
+    EXPECT_EQ(r.retriesScheduled, 49);
+    EXPECT_EQ(r.totalDowntime, 6147301300334);
+}
+
 // --- edge cases -------------------------------------------------
 
 TEST(Faults, ZeroRequestWorkloadFinishesClean)
@@ -1006,6 +1070,25 @@ TEST(Faults, DomainEventNeedsTopology)
             FleetDriver(fc).run();
         },
         ::testing::ExitedWithCode(1), "domain");
+}
+
+TEST(Faults, DegradeOnAnAbsentInstanceIsStillValidated)
+{
+    // The spec is validated once per run, not per instance plan: a
+    // bad degrade aimed past the fleet is fatal up front instead of
+    // silently accepted (or fatal mid-run once autoscaling reaches
+    // that instance id).
+    EXPECT_EXIT(
+        {
+            FleetConfig fc;
+            fc.sim = baseSim();
+            fc.instances = 2;
+            fc.faults.events = parseFaultList("degrade@1:5:2");
+            fc.faults.events[0].factor = 0.0;
+            FleetDriver(fc).run();
+        },
+        ::testing::ExitedWithCode(1),
+        "FaultSpec: degrade factor must be positive");
 }
 
 TEST(Faults, ParseFaultListNamesTheBadItem)

@@ -413,6 +413,27 @@ TEST(Fleet, MoreInstancesRetireEverything)
         EXPECT_EQ(s.routed, 16) << "instance " << s.id;
 }
 
+TEST(Fleet, UtilizationListsInstancesThatNeverServe)
+{
+    // One session pinned by affinity leaves four of five instances
+    // without a single route, stage or retirement; the breakdown
+    // must still list every instance that ran.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 2.0;
+    fc.sim.workload.numSessions = 1;
+    fc.instances = 5;
+    fc.policy = "session-affinity";
+
+    FleetUtilization util;
+    FleetDriver driver(fc);
+    driver.addObserver(&util);
+    const FleetResult result = driver.run();
+
+    ASSERT_EQ(result.perInstance.size(), 5u);
+    EXPECT_EQ(util.instances().size(), result.perInstance.size());
+}
+
 TEST(Fleet, ScalingRequiresOpenLoop)
 {
     EXPECT_EXIT(
