@@ -18,7 +18,10 @@
  *    draws on the driver loop's critical path);
  *  - prefix cache: acquire+install ops/sec of a PrefixCachePool
  *    under eviction churn (the kvcache probe sits on every
- *    admission and retirement of a cache-enabled run).
+ *    admission and retirement of a cache-enabled run);
+ *  - expert sampling: tokens/sec of the uniform top-2 expert draw
+ *    (ExpertSelector::sampleInto) for Mixtral (8 experts) and GLaM
+ *    (64 experts), the loop that dominates every MoE simulation.
  */
 
 #include <chrono>
@@ -26,6 +29,7 @@
 
 #include "bench_util.hh"
 #include "kvcache/prefix_cache.hh"
+#include "workload/experts.hh"
 #include "workload/registry.hh"
 
 using namespace duplex;
@@ -180,6 +184,41 @@ probePrefixCache()
     return sink >= 0 && sec > 0.0 ? iters / sec : 0.0;
 }
 
+/** Tokens drawn and seconds spent by the top-2 expert draw. */
+struct ExpertSamplingProbe
+{
+    const char *name = "";
+    std::int64_t tokens = 0;
+    double wallSec = 0.0;
+};
+
+/**
+ * Uniform top-2 draw over @p num_experts, one batch-256 MoE layer
+ * per sampleInto call, as the simulators call it.
+ */
+ExpertSamplingProbe
+probeExpertSampling(const char *name, int num_experts)
+{
+    const ExpertSelector selector(num_experts, 2);
+    Rng rng(53);
+    std::vector<std::int64_t> hist;
+    const std::int64_t tokens_per_layer = 256;
+    const int layers = 100000;
+    // Warm up once (histogram allocation).
+    selector.sampleInto(rng, tokens_per_layer, hist);
+    std::int64_t sink = 0;
+    const auto t0 = Clock::now();
+    for (int i = 0; i < layers; ++i) {
+        selector.sampleInto(rng, tokens_per_layer, hist);
+        sink += hist[0];
+    }
+    ExpertSamplingProbe probe;
+    probe.name = name;
+    probe.wallSec = secondsSince(t0);
+    probe.tokens = sink > 0 ? tokens_per_layer * layers : 0;
+    return probe;
+}
+
 } // namespace
 
 int
@@ -235,6 +274,19 @@ main()
     std::printf("prefix cache %25.0f acquire+install/s\n",
                 prefix_cache_ops);
 
+    const ExpertSamplingProbe expert_probes[] = {
+        probeExpertSampling("nex8_top2", 8),
+        probeExpertSampling("nex64_top2", 64),
+    };
+    std::int64_t expert_tokens = 0;
+    double expert_sec = 0.0;
+    for (const ExpertSamplingProbe &p : expert_probes) {
+        std::printf("expert sampling %-10s %12.0f tokens/s\n",
+                    p.name, p.tokens / p.wallSec);
+        expert_tokens += p.tokens;
+        expert_sec += p.wallSec;
+    }
+
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
         timeSweep("fig12-glam-latency", fig12SweepConfigs())};
@@ -275,6 +327,14 @@ main()
     std::fprintf(json,
                  "  \"prefix_cache\": {\"ops_per_sec\": %.3f},\n",
                  prefix_cache_ops);
+    // tokens_per_sec (gated) pools both gates' tokens and seconds.
+    std::fprintf(json,
+                 "  \"expert_sampling\": {\"tokens_per_sec\": %.3f",
+                 expert_tokens / expert_sec);
+    for (const ExpertSamplingProbe &p : expert_probes)
+        std::fprintf(json, ", \"%s\": %.3f", p.name,
+                     p.tokens / p.wallSec);
+    std::fprintf(json, "},\n");
     std::fprintf(json, "  \"figure_sweeps\": [");
     for (std::size_t i = 0; i < std::size(sweeps); ++i) {
         const SweepProbe &s = sweeps[i];

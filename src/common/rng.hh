@@ -11,6 +11,7 @@
 #ifndef DUPLEX_COMMON_RNG_HH
 #define DUPLEX_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,55 @@
 
 namespace duplex
 {
+
+/**
+ * A fixed divisor d with its remainder precomputed: mod(x) equals
+ * x % d for every 64-bit x, with no runtime division.
+ * Power-of-two divisors (including 1) take a mask. Any other d uses
+ * the round-up multiply-shift of Granlund and Montgomery, in the
+ * branch-free form libdivide uses: with L = floor(log2 d), the
+ * 65-bit multiplier 2^64 + magic = ceil(2^(65+L) / d) gives the
+ * exact quotient floor(x * (2^64 + magic) / 2^(65+L)) for every
+ * 64-bit x, and q = mulhi(x, magic) evaluates it without overflow
+ * as (((x - q) >> 1) + q) >> L. Hot loops that draw next() % span
+ * with a fixed span build one of these once; `%` stays the
+ * reference (tests/common/test_rng.cc).
+ */
+class ExactDivisor
+{
+  public:
+    explicit ExactDivisor(std::uint64_t d) : d_(d)
+    {
+        panicIf(d == 0, "ExactDivisor: divisor must be positive");
+        if (std::has_single_bit(d)) {
+            mask_ = d - 1;
+            return;
+        }
+        shift_ = std::bit_width(d) - 1;
+        // 2^(65+L) - 1 has the same floor quotient as 2^(65+L),
+        // which d does not divide; the +1 rounds it up, and the
+        // cast drops the implicit 2^64 bit.
+        magic_ = static_cast<std::uint64_t>(
+            (~U128{0} >> (63 - shift_)) / d + 1);
+    }
+
+    std::uint64_t mod(std::uint64_t x) const
+    {
+        if (magic_ == 0)
+            return x & mask_;
+        const auto q =
+            static_cast<std::uint64_t>((U128{magic_} * x) >> 64);
+        return x - ((((x - q) >> 1) + q) >> shift_) * d_;
+    }
+
+  private:
+    __extension__ typedef unsigned __int128 U128;
+
+    std::uint64_t d_;
+    std::uint64_t mask_ = 0;  //!< d - 1 when d is a power of two
+    std::uint64_t magic_ = 0; //!< otherwise; never 0 then
+    int shift_ = 0;           //!< L = floor(log2 d)
+};
 
 /**
  * A small, fast, deterministic generator (xoshiro256**) with the

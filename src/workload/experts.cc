@@ -14,6 +14,12 @@ ExpertSelector::ExpertSelector(int num_experts, int top_k,
     fatalIf(num_experts <= 0, "ExpertSelector: need experts");
     fatalIf(top_k <= 0 || top_k > num_experts,
             "ExpertSelector: need 0 < topK <= numExperts");
+    fatalIf(policy == GatePolicy::Zipf && top_k > 8,
+            "ExpertSelector: topK > 8 unsupported for Zipf gate");
+    if (policy_ == GatePolicy::Uniform && topK_ == 2) {
+        firstSpan_ = ExactDivisor(numExperts_ - 1);
+        secondSpan_ = ExactDivisor(numExperts_);
+    }
     if (policy_ == GatePolicy::Zipf) {
         cumWeights_.resize(numExperts_);
         double total = 0.0;
@@ -32,16 +38,7 @@ ExpertSelector::sampleOneToken(Rng &rng,
                                std::vector<std::int64_t> &hist) const
 {
     if (policy_ == GatePolicy::Uniform) {
-        if (topK_ == 2) {
-            // Floyd's algorithm unrolled for the paper models'
-            // top-2 gate: identical draws to chooseDistinct(n, 2).
-            const int t1 = static_cast<int>(
-                rng.uniformInt(0, numExperts_ - 2));
-            const int t2 = static_cast<int>(
-                rng.uniformInt(0, numExperts_ - 1));
-            ++hist[t1];
-            ++hist[t2 == t1 ? numExperts_ - 1 : t2];
-        } else if (topK_ <= 8) {
+        if (topK_ <= 8) {
             // Stack buffer, no allocation per token.
             int chosen[8];
             rng.chooseDistinctInto(numExperts_, topK_, chosen);
@@ -55,7 +52,6 @@ ExpertSelector::sampleOneToken(Rng &rng,
     }
     // Zipf: rejection-sample distinct experts by CDF inversion.
     int chosen[8];
-    panicIf(topK_ > 8, "topK > 8 unsupported for Zipf gate");
     int found = 0;
     while (found < topK_) {
         const double u = rng.uniform();
@@ -87,19 +83,23 @@ ExpertSelector::sampleInto(Rng &rng, std::int64_t tokens,
 {
     hist.assign(numExperts_, 0);
     if (policy_ == GatePolicy::Uniform && topK_ == 2) {
-        // The paper models all gate top-2: run the unrolled Floyd
-        // draw (identical stream to sampleOneToken) as one tight
-        // loop over the layer's tokens.
-        const int n = numExperts_;
+        // The paper models all gate top-2: Floyd's algorithm
+        // unrolled, the same draws as chooseDistinctInto(n, 2) per
+        // token. The generator and the divisors are local copies so
+        // they stay in registers: the int64_t histogram stores could
+        // otherwise alias the RNG state and force a reload per token.
+        Rng local = rng;
+        const ExactDivisor first = firstSpan_;
+        const ExactDivisor second = secondSpan_;
+        const auto last = static_cast<std::uint64_t>(numExperts_ - 1);
         std::int64_t *h = hist.data();
         for (std::int64_t t = 0; t < tokens; ++t) {
-            const int t1 =
-                static_cast<int>(rng.uniformInt(0, n - 2));
-            const int t2 =
-                static_cast<int>(rng.uniformInt(0, n - 1));
+            const std::uint64_t t1 = first.mod(local.next());
+            const std::uint64_t t2 = second.mod(local.next());
             ++h[t1];
-            ++h[t2 == t1 ? n - 1 : t2];
+            ++h[t2 == t1 ? last : t2];
         }
+        rng = local;
         return;
     }
     for (std::int64_t t = 0; t < tokens; ++t)

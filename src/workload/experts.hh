@@ -64,6 +64,10 @@ class ExpertSelector
     int topK_;
     GatePolicy policy_;
     std::vector<double> cumWeights_; //!< Zipf CDF
+    // Uniform top-2 draw spans, Nex - 1 then Nex (set when the
+    // gate is uniform top-2; the loop never divides at run time).
+    ExactDivisor firstSpan_{1};
+    ExactDivisor secondSpan_{1};
 
     void sampleOneToken(Rng &rng,
                         std::vector<std::int64_t> &hist) const;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hh"
@@ -163,6 +164,45 @@ TEST(Rng, ChooseDistinctUniformish)
     const double expected = trials * 2.0 / 8.0;
     for (int c : counts)
         EXPECT_NEAR(c, expected, expected * 0.05);
+}
+
+/**
+ * ExactDivisor must equal `%` for the edge numerators {0, 1, d-1, d,
+ * d+1, UINT64_MAX} and 10^5 seeded random ones.
+ */
+void
+expectExactMod(std::uint64_t d, Rng &rng)
+{
+    const ExactDivisor div(d);
+    const std::uint64_t edges[] = {0, 1, d - 1, d, d + 1, UINT64_MAX};
+    for (std::uint64_t x : edges)
+        ASSERT_EQ(div.mod(x), x % d) << "x=" << x << " d=" << d;
+    for (int i = 0; i < 100000; ++i) {
+        // Plain compare: a gtest assertion per draw would dominate.
+        const std::uint64_t x = rng.next();
+        if (div.mod(x) != x % d)
+            FAIL() << "x=" << x << " d=" << d;
+    }
+}
+
+TEST(ExactDivisor, MatchesModuloForSmallDivisors)
+{
+    Rng rng(43);
+    for (std::uint64_t d = 1; d <= 1024; ++d)
+        expectExactMod(d, rng);
+}
+
+TEST(ExactDivisor, MatchesModuloNearPowersOfTwo)
+{
+    Rng rng(47);
+    for (int k = 0; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        expectExactMod(p, rng);
+        expectExactMod(p + 1, rng);
+        if (p > 1)
+            expectExactMod(p - 1, rng);
+    }
+    expectExactMod(UINT64_MAX, rng);
 }
 
 /** Parameterized sweep: chooseDistinct(n, k) stays in bounds. */

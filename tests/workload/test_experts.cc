@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "workload/experts.hh"
 
@@ -105,6 +107,61 @@ TEST(ExpertSelector, DeterministicGivenRngState)
     EXPECT_EQ(sel.sample(a, 100), sel.sample(b, 100));
 }
 
+TEST(ExpertSelector, ZipfTopKAboveEightIsFatalAtConstruction)
+{
+    EXPECT_EXIT({ ExpertSelector sel(16, 9, GatePolicy::Zipf); },
+                ::testing::ExitedWithCode(1),
+                "topK > 8 unsupported for Zipf gate");
+}
+
+TEST(ExpertSelector, MixtralHistogramPinned)
+{
+    // Captured from the per-token uniformInt draw loop that the
+    // division-free top-2 loop replaced: the stream is golden.
+    ExpertSelector sel(8, 2);
+    Rng rng(20240);
+    const std::vector<std::int64_t> expected = {
+        1013, 1025, 982, 1058, 1023, 1044, 1028, 1025};
+    EXPECT_EQ(sel.sample(rng, 4099), expected);
+    EXPECT_EQ(rng.next(), 0x4afd00a77f85e440ull);
+}
+
+/**
+ * The uniform top-2 loop must consume exactly the draws of a
+ * per-token chooseDistinctInto(n, 2) (Floyd's algorithm over
+ * uniformInt): same histogram, same generator state afterwards.
+ */
+class TopTwoStreamPin
+    : public ::testing::TestWithParam<std::tuple<int, std::int64_t>>
+{
+};
+
+TEST_P(TopTwoStreamPin, MatchesChooseDistinctReference)
+{
+    const auto [nex, tokens] = GetParam();
+    ExpertSelector sel(nex, 2);
+    Rng rng(1000 + nex);
+    Rng ref = rng;
+    std::vector<std::int64_t> hist(3, -1); // stale contents reset
+    sel.sampleInto(rng, tokens, hist);
+
+    std::vector<std::int64_t> expected(nex, 0);
+    int chosen[2];
+    for (std::int64_t t = 0; t < tokens; ++t) {
+        ref.chooseDistinctInto(nex, 2, chosen);
+        ++expected[chosen[0]];
+        ++expected[chosen[1]];
+    }
+    EXPECT_EQ(hist, expected);
+    EXPECT_EQ(rng.next(), ref.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spans, TopTwoStreamPin,
+    ::testing::Combine(::testing::Values(2, 3, 7, 8, 9, 64, 65, 128),
+                       ::testing::Values(std::int64_t{0}, 1, 16, 256,
+                                         4099)));
+
 /** Parameterized: all paper gate configurations stay consistent. */
 class GateSweep
     : public ::testing::TestWithParam<std::pair<int, int>>
@@ -127,7 +184,8 @@ INSTANTIATE_TEST_SUITE_P(Models, GateSweep,
                          ::testing::Values(std::pair{8, 2},
                                            std::pair{64, 2},
                                            std::pair{8, 1},
-                                           std::pair{16, 4}));
+                                           std::pair{16, 4},
+                                           std::pair{2, 2}));
 
 } // namespace
 } // namespace duplex

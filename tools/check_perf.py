@@ -73,6 +73,10 @@ def tracked_metrics(perf):
     cache = perf.get("prefix_cache", {})
     if "ops_per_sec" in cache:
         metrics["prefix_cache.ops_per_sec"] = cache["ops_per_sec"]
+    experts = perf.get("expert_sampling", {})
+    if "tokens_per_sec" in experts:
+        metrics["expert_sampling.tokens_per_sec"] = (
+            experts["tokens_per_sec"])
     return metrics
 
 
