@@ -32,7 +32,6 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
 #include "fleet/fleet.hh"
 
 using namespace duplex;
@@ -153,40 +152,7 @@ main(int argc, char **argv)
                 "tokens/s and TBT are post-warm-up.\n");
 
     // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    const double req_per_sec =
-        wall_sec > 0.0 ? total_retired / wall_sec : 0.0;
-    std::fprintf(stderr,
-                 "fleet sweep: %zu run(s), %lld requests retired, "
-                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
-                 cells.size(),
-                 static_cast<long long>(total_retired), wall_sec,
-                 req_per_sec, rss_mb);
-
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"fleet\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"requests_retired\": %lld,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     cells.size(),
-                     static_cast<long long>(total_retired),
-                     wall_sec, req_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweepPerf("fleet", "fleet", cells.size(),
+                           total_retired, wall_sec,
+                           args.getString("json"));
 }

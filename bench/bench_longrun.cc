@@ -5,12 +5,11 @@
  * loop's own throughput (requests/s of wall-clock) and its memory
  * footprint (peak RSS) at Mixtral scale.
  *
- * The run uses MetricsMode::Bounded by default: retired requests
- * are drained and dropped every stage and latency lands in
- * fixed-bin histograms, so peak RSS stays flat in the request
- * count. --metrics=retained runs the legacy keep-every-request
- * path in a separate invocation for contrast (RSS is a
- * process-wide peak, so the two modes cannot share a process).
+ * Retired requests are drained and dropped every stage. By
+ * default latency lands in fixed-bin histograms
+ * (SimConfig::boundedLatency), so peak RSS stays flat in the
+ * request count; --metrics=streaming keeps exact latency samples
+ * instead, which grow O(tokens).
  *
  * Output discipline: everything deterministic (request/token
  * counts, simulated time, approximate percentiles) goes to stdout
@@ -22,7 +21,7 @@
  *
  *   ./bench_longrun                        # the 1M-request gate
  *   ./bench_longrun --requests=50000       # determinism-job size
- *   ./bench_longrun --metrics=retained     # RSS contrast run
+ *   ./bench_longrun --metrics=streaming    # exact percentiles
  *   ./bench_longrun --json=BENCH_longrun.json
  */
 
@@ -80,8 +79,8 @@ main(int argc, char **argv)
                  "queue stays stationary over a million requests)",
                  "200");
     args.addFlag("metrics",
-                 "bounded | streaming | retained (see "
-                 "sched/metrics.hh; bounded keeps RSS flat)",
+                 "bounded | streaming (see sched/metrics.hh; "
+                 "bounded keeps RSS flat)",
                  "bounded");
     args.addFlag("json",
                  "write driver_loop perf metrics to this file",
@@ -104,17 +103,12 @@ main(int argc, char **argv)
     // retire for the requests/s number to mean anything.
     c.maxStages = std::numeric_limits<std::int64_t>::max();
     if (metrics_mode == "bounded") {
-        c.metricsMode = MetricsMode::Bounded;
         // One-millisecond bins over a minute: tight enough for
         // decode-cadence TBT, wide enough for queueing-inflated
         // T2FT/E2E under a stationary queue. ~0.5 MB per
         // histogram — O(1) in the request count.
-        c.boundedLatency = {60000.0, 60000};
-    } else if (metrics_mode == "streaming") {
-        c.metricsMode = MetricsMode::Streaming;
-    } else if (metrics_mode == "retained") {
-        c.metricsMode = MetricsMode::Retained;
-    } else {
+        c.boundedLatency = BoundedSpec{60000.0, 60000};
+    } else if (metrics_mode != "streaming") {
         std::fprintf(stderr, "unknown --metrics=%s\n",
                      metrics_mode.c_str());
         return 1;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rss.hh"
 #include "common/table.hh"
 #include "sim/engine.hh"
 #include "sim/observers.hh"
@@ -175,6 +176,53 @@ fig12SweepConfigs()
                 system, glamConfig(), kFig12Batch, len, len,
                 kFig12Requests, kFig12MaxStages));
     return configs;
+}
+
+/**
+ * Report a sweep gate's host-side perf: one stderr summary line
+ * ("<label> sweep: ...") and, when @p json_path is non-empty, a
+ * JSON file whose @p json_key section tools/check_perf.py merges
+ * into the BENCH_perf gate. Never touches stdout, which the CI
+ * determinism job diffs. Returns the process exit code: 1 when the
+ * JSON file cannot be written, else 0.
+ */
+inline int
+reportSweepPerf(const char *label, const char *json_key,
+                std::size_t runs, std::int64_t retired,
+                double wall_sec, const std::string &json_path)
+{
+    const double rss_mb = peakRssMb();
+    const double req_per_sec =
+        wall_sec > 0.0 ? static_cast<double>(retired) / wall_sec
+                       : 0.0;
+    std::fprintf(stderr,
+                 "%s sweep: %zu run(s), %lld requests retired, "
+                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
+                 label, runs, static_cast<long long>(retired),
+                 wall_sec, req_per_sec, rss_mb);
+    if (json_path.empty())
+        return 0;
+    std::FILE *json = std::fopen(json_path.c_str(), "w");
+    if (json == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        return 1;
+    }
+    std::fprintf(json,
+                 "{\n"
+                 "  \"schema\": 1,\n"
+                 "  \"%s\": {\n"
+                 "    \"runs\": %zu,\n"
+                 "    \"requests_retired\": %lld,\n"
+                 "    \"wall_sec\": %.3f,\n"
+                 "    \"requests_per_sec\": %.3f,\n"
+                 "    \"peak_rss_mb\": %.3f\n"
+                 "  }\n"
+                 "}\n",
+                 json_key, runs, static_cast<long long>(retired),
+                 wall_sec, req_per_sec, rss_mb);
+    std::fclose(json);
+    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+    return 0;
 }
 
 /** Add the five standard latency cells (see LatencySummary). */

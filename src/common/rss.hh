@@ -1,7 +1,7 @@
 /**
  * @file
- * Process peak-RSS probe shared by the drivers that report the
- * memory win of retirement streaming (quickstart, bench_longrun).
+ * Process peak-RSS probe shared by the drivers that report their
+ * memory footprint (quickstart, bench_longrun, the sweep gates).
  * One copy of the platform-dependent ru_maxrss unit handling.
  */
 

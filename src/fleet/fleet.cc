@@ -115,6 +115,16 @@ struct FleetDriver::Instance
     }
 };
 
+void
+ScaleSpec::validate() const
+{
+    fatalIf(minInstances < 1, "ScaleSpec: minInstances must be >= 1");
+    fatalIf(maxInstances < minInstances,
+            "ScaleSpec: maxInstances must be >= minInstances");
+    fatalIf(windowSec <= 0.0, "ScaleSpec: windowSec must be > 0");
+    fatalIf(cooldownSec < 0.0, "ScaleSpec: negative cooldownSec");
+}
+
 FleetDriver::FleetDriver(FleetConfig config)
     : config_(std::move(config))
 {
@@ -655,9 +665,11 @@ FleetDriver::run()
 
     policy_ = makeRoutingPolicy(config_.policy);
     int initial = config_.instances;
-    if (config_.scaling.enabled)
+    if (config_.scaling.enabled) {
+        config_.scaling.validate();
         initial = std::clamp(initial, config_.scaling.minInstances,
                              config_.scaling.maxInstances);
+    }
 
     for (FleetObserver *o : observers_)
         o->onFleetBegin(config_);

@@ -96,6 +96,11 @@ struct ScaleSpec
      * fault injection (unavailability is exactly 0).
      */
     bool availabilityAware = false;
+
+    /** Fatal on a spec the autoscaler cannot honour (min < 1,
+     *  max < min, non-positive window, negative cooldown).
+     *  FleetDriver calls it once per scaled run. */
+    void validate() const;
 };
 
 /** One fleet-scale run. */

@@ -168,10 +168,10 @@ class ContinuousBatcher
     void completeStage(PicoSec now);
 
     /**
-     * Retired requests with full lifecycle timestamps — the
-     * retained view. Grows for the whole run unless the caller
-     * drains it; streaming driver loops use drainFinished()
-     * instead so memory stays flat in the request count.
+     * Retired requests with full lifecycle timestamps. Grows for
+     * the whole run unless the caller drains it; the driver loops
+     * use drainFinished() instead so memory stays flat in the
+     * request count.
      */
     const std::vector<Request> &finished() const { return finished_; }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace duplex
 {
 
@@ -14,11 +12,10 @@ MetricsAccumulator::ingest(const Request &request)
     if (ingested_ <= skip_)
         return; // warm-up request, excluded by completion order
     // One copy of the extraction rule, dispatched to either sink
-    // family (SampleStats or BoundedStats — both expose add()).
-    // The order mirrors the retained-vector collectMetrics walk
-    // exactly (T2FT, E2E, then the token gaps), so the exact
-    // mode's SampleStats — including the running float sums — are
-    // bit-identical to the legacy path.
+    // family (SampleStats or BoundedStats — both expose add()), in
+    // a fixed order (T2FT, E2E, then the token gaps) so the exact
+    // SampleStats' running float sums depend only on the
+    // retirement stream.
     const auto extract = [&](auto &t2ft, auto &e2e, auto &tbt,
                              auto &worst_gap) {
         if (request.firstToken >= 0)
@@ -44,24 +41,15 @@ MetricsAccumulator::ingest(const Request &request)
                 worstGap_);
 }
 
-BoundedLatencyMetrics
+std::shared_ptr<const BoundedLatencyMetrics>
 MetricsAccumulator::takeBounded()
 {
-    panicIf(!bounded_,
-            "takeBounded on an exact-mode MetricsAccumulator");
-    BoundedLatencyMetrics out = std::move(*bounded_);
+    if (!bounded_)
+        return nullptr;
+    auto out = std::make_shared<const BoundedLatencyMetrics>(
+        std::move(*bounded_));
     bounded_.reset();
     return out;
-}
-
-ServingMetrics
-collectMetrics(const std::vector<Request> &finished,
-               std::size_t skip_requests)
-{
-    MetricsAccumulator acc(skip_requests);
-    for (const Request &r : finished)
-        acc.ingest(r);
-    return acc.takeMetrics();
 }
 
 void

@@ -16,8 +16,8 @@
 #ifndef DUPLEX_SCHED_METRICS_HH
 #define DUPLEX_SCHED_METRICS_HH
 
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/units.hh"
@@ -79,35 +79,7 @@ struct ServingMetrics
     }
 };
 
-/**
- * How a driver loop retains latency metrics over a run:
- *
- *  - Streaming (default): retired requests are drained from the
- *    scheduler each stage and fed to a MetricsAccumulator; the
- *    Request (and its per-token timestamp vector) is dropped
- *    immediately. Sample-for-sample identical to Retained — the
- *    golden path. Only the extracted latency samples are kept
- *    (doubles, O(tokens) over the run), not the Request objects;
- *    for truly flat memory use Bounded.
- *  - Retained: the legacy path — every finished Request is kept
- *    until the end of the run and collectMetrics walks the vector.
- *    Kept as the reference the streaming path is property-tested
- *    against, and for callers that want the raw requests.
- *  - Bounded: streaming retirement into fixed-bin BoundedStats
- *    histograms — truly O(1) memory in the request count, but
- *    latency percentiles are approximate (NOT the golden path).
- *    The run's SimResult carries the histograms in
- *    boundedLatency; its ServingMetrics latency SampleStats stay
- *    empty.
- */
-enum class MetricsMode
-{
-    Streaming,
-    Retained,
-    Bounded,
-};
-
-/** The O(1)-memory latency view a Bounded-mode run produces. */
+/** The O(1)-memory latency view a bounded run produces. */
 struct BoundedLatencyMetrics
 {
     BoundedStats tbtMs;
@@ -122,33 +94,33 @@ struct BoundedLatencyMetrics
 };
 
 /**
- * Streams retired requests into latency metrics so the driver loop
- * never retains a finished Request: ingest() extracts the
+ * Streams retired requests into latency metrics so no driver loop
+ * ever retains a finished Request: ingest() extracts the
  * TTFT/E2E/worst-gap/TBT samples and the caller drops the request.
  *
  * The first @p skip_requests ingested (warm-up, by completion
- * order) contribute nothing — the same exclusion collectMetrics
- * applies by index. In the default exact mode the extracted samples
- * land in SampleStats in the exact order collectMetrics would have
- * produced, so takeMetrics() is bit-identical to the retained
- * vector path (pinned in tests/sim/test_streaming_metrics.cc). In
- * bounded mode ([skip, BoundedSpec] constructor) samples land in
- * fixed-bin histograms instead and memory stays O(bins).
+ * order) contribute nothing. Without a histogram shape (the
+ * default, the golden path) the samples land in exact SampleStats
+ * in retirement order — T2FT, E2E, then the token gaps — so the
+ * running float sums are a deterministic function of the
+ * retirement stream (pinned against an observer-recorded stream in
+ * tests/sim/test_streaming_metrics.cc). Only the extracted sample
+ * doubles grow, O(tokens) over the run. With a BoundedSpec the
+ * samples land in fixed-bin histograms instead: memory stays
+ * O(bins), latency percentiles are approximate, and takeMetrics()
+ * returns empty latency SampleStats.
  */
 class MetricsAccumulator
 {
   public:
-    /** Exact mode: SampleStats, bit-identical to collectMetrics. */
-    explicit MetricsAccumulator(std::size_t skip_requests = 0)
+    /** @param bounded Histogram shape; present means bounded. */
+    explicit MetricsAccumulator(
+        std::size_t skip_requests = 0,
+        const std::optional<BoundedSpec> &bounded = std::nullopt)
         : skip_(skip_requests)
     {
-    }
-
-    /** Bounded mode: fixed-bin histograms, O(1) memory. */
-    MetricsAccumulator(std::size_t skip_requests,
-                       const BoundedSpec &spec)
-        : skip_(skip_requests), bounded_(spec)
-    {
+        if (bounded)
+            bounded_.emplace(*bounded);
     }
 
     /** Consume one retired request; the caller may drop it after. */
@@ -160,22 +132,22 @@ class MetricsAccumulator
     bool bounded() const { return bounded_.has_value(); }
 
     /**
-     * Move the accumulated metrics out (latency samples, exact
-     * mode; empty SampleStats in bounded mode). Throughput-window
-     * fields (totalTokens, elapsed, stage counts) are the driver
-     * loop's to fill, exactly as with collectMetrics.
+     * Move the accumulated metrics out (latency samples; empty
+     * SampleStats when bounded). Throughput-window fields
+     * (totalTokens, elapsed, stage counts) are the driver loop's
+     * to fill.
      */
     ServingMetrics takeMetrics() { return std::move(metrics_); }
 
     /**
-     * Worst token gap per request (exact mode samples; one per
+     * Worst token gap per request (exact samples; one per
      * multi-token request, so it retains an order of magnitude
      * fewer samples than the per-gap tbtMs beside it).
      */
     const SampleStats &worstGapMs() const { return worstGap_; }
 
-    /** Move the bounded histograms out (bounded mode only). */
-    BoundedLatencyMetrics takeBounded();
+    /** Move the bounded histograms out; null when exact. */
+    std::shared_ptr<const BoundedLatencyMetrics> takeBounded();
 
   private:
     std::size_t skip_ = 0;
@@ -186,35 +158,11 @@ class MetricsAccumulator
 };
 
 /**
- * The accumulator a driver loop needs for @p mode: bounded
- * histograms for MetricsMode::Bounded, exact SampleStats otherwise
- * (Retained-mode drivers build one too but route results through
- * collectMetrics instead). One place, so the engine and custom
- * loops cannot diverge on warm-up-skip or histogram wiring.
- */
-inline MetricsAccumulator
-makeMetricsAccumulator(MetricsMode mode, std::size_t skip_requests,
-                       const BoundedSpec &spec)
-{
-    return mode == MetricsMode::Bounded
-               ? MetricsAccumulator(skip_requests, spec)
-               : MetricsAccumulator(skip_requests);
-}
-
-/**
- * Collect latency metrics from finished requests, skipping the first
- * @p skip_requests (warm-up) by completion order. A shim over
- * MetricsAccumulator, kept for retained-vector callers.
- */
-ServingMetrics collectMetrics(const std::vector<Request> &finished,
-                              std::size_t skip_requests = 0);
-
-/**
  * Warm-up-window bookkeeping shared by the simulation drivers:
  * throughput is reported over the post-warm-up window only (the
  * batch ramp-up distorts it), falling back to the whole run when it
  * ends before the window closes. Latency percentiles use
- * warm-up-request skipping (collectMetrics) instead.
+ * warm-up-request skipping (MetricsAccumulator) instead.
  */
 class WarmupWindow
 {

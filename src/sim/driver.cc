@@ -58,17 +58,12 @@ DriverLoop::DriverLoop(const SimConfig &config,
                 : nullptr),
       batcher_(batcherConfig(config, system), std::move(arrivals),
                policy_.get(), pool_.get()),
-      // Retirement streaming (the default): finished requests are
-      // drained every stage, their latency samples extracted by the
-      // accumulator, and the Request — tokenTimes vector included —
-      // dropped on the spot. Retained mode keeps the legacy
-      // grow-forever vector as the reference path (bit-identical by
-      // property test).
-      retained_(config.metricsMode == MetricsMode::Retained),
-      accumulator_(makeMetricsAccumulator(
-          config.metricsMode,
-          static_cast<std::size_t>(config.warmupRequests),
-          config.boundedLatency)),
+      // Retirement streaming: finished requests are drained every
+      // stage, their latency samples extracted by the accumulator,
+      // and the Request — tokenTimes vector included — dropped on
+      // the spot.
+      accumulator_(static_cast<std::size_t>(config.warmupRequests),
+                   config.boundedLatency),
       now_(start), warmup_(config.warmupStages)
 {
     maxKvTokens_ = system.maxKvTokens();
@@ -114,24 +109,14 @@ DriverLoop::step()
     observer_.onStage({stages_, stage_start, now_, stage, sr,
                        stage.contextTokens()});
     ++stages_;
-    if (retained_) {
-        for (; retiredSeen_ < batcher_.finished().size();
-             ++retiredSeen_) {
-            observer_.onRequestRetired(
-                batcher_.finished()[retiredSeen_], now_);
-            // Retirement feedback after the observers: a
-            // session source releases the next turn only once
-            // the previous one has been fully accounted.
-            batcher_.notifyRetired(
-                batcher_.finished()[retiredSeen_], now_);
-        }
-    } else {
-        batcher_.drainFinished(drained_);
-        for (const Request &r : drained_) {
-            observer_.onRequestRetired(r, now_);
-            accumulator_.ingest(r);
-            batcher_.notifyRetired(r, now_);
-        }
+    batcher_.drainFinished(drained_);
+    for (const Request &r : drained_) {
+        observer_.onRequestRetired(r, now_);
+        accumulator_.ingest(r);
+        // Retirement feedback after the observers: a session source
+        // releases the next turn only once the previous one has
+        // been fully accounted.
+        batcher_.notifyRetired(r, now_);
     }
 }
 
@@ -148,15 +133,8 @@ DriverLoop::finish()
 {
     panicIf(finished_, "DriverLoop::finish called twice");
     finished_ = true;
-    result_.metrics =
-        retained_ ? collectMetrics(batcher_.finished(),
-                                   static_cast<std::size_t>(
-                                       config_.warmupRequests))
-                  : accumulator_.takeMetrics();
-    if (config_.metricsMode == MetricsMode::Bounded)
-        result_.boundedLatency =
-            std::make_shared<const BoundedLatencyMetrics>(
-                accumulator_.takeBounded());
+    result_.metrics = accumulator_.takeMetrics();
+    result_.boundedLatency = accumulator_.takeBounded();
     result_.generatedTokens = batcher_.totalGenerated();
     result_.preemptions = batcher_.preemptions();
     result_.preemptedTokens = batcher_.preemptedTokens();

@@ -41,8 +41,8 @@ class DriverLoop
 {
   public:
     /**
-     * @param config    The run configuration (metrics mode, stage
-     *                  and warm-up limits, batch caps).
+     * @param config    The run configuration (latency histogram
+     *                  shape, stage and warm-up limits, batch caps).
      * @param system    The serving system executing stages; must
      *                  outlive the loop.
      * @param observer  Receives onStage/onRequestRetired callbacks;
@@ -199,14 +199,12 @@ class DriverLoop
     std::unique_ptr<PrefixCachePool> pool_;
 
     ContinuousBatcher batcher_;
-    bool retained_;
     MetricsAccumulator accumulator_;
     std::vector<Request> drained_;
     SimResult result_;
     PicoSec now_;
     WarmupWindow warmup_;
     std::int64_t stages_ = 0;
-    std::size_t retiredSeen_ = 0;
     std::int64_t maxKvTokens_ = 0;
     double timeScale_ = 1.0;
     bool finished_ = false;

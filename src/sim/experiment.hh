@@ -7,6 +7,7 @@
 #define DUPLEX_SIM_EXPERIMENT_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "cluster/cluster.hh"
@@ -98,18 +99,14 @@ struct SimConfig
     std::int64_t prefillChunkTokens = 0;
 
     /**
-     * How the driver loop retains latency metrics (see
-     * sched/metrics.hh). Streaming (default) drains retired
-     * requests each stage — bit-identical results at flat memory;
-     * Retained is the legacy keep-every-request reference path;
-     * Bounded streams into fixed-bin histograms (boundedLatency
-     * below) for O(1)-memory campaigns, with approximate
-     * percentiles.
+     * Latency-histogram shape (see MetricsAccumulator). Absent (the
+     * default): retired requests stream into exact SampleStats.
+     * Present: they stream into fixed-bin histograms
+     * (SimResult::boundedLatency) for O(1)-memory campaigns, with
+     * approximate percentiles. Either way every driver loop drops
+     * each Request the stage it retires.
      */
-    MetricsMode metricsMode = MetricsMode::Streaming;
-
-    /** Histogram shape for MetricsMode::Bounded runs. */
-    BoundedSpec boundedLatency;
+    std::optional<BoundedSpec> boundedLatency;
 
     /**
      * KV prefix cache (src/kvcache/): disabled by default, in which
@@ -129,9 +126,9 @@ struct SimResult
     StageResult totals;     //!< full-run time/energy breakdown
 
     /**
-     * Fixed-bin latency histograms, set only by
-     * MetricsMode::Bounded runs (metrics' latency SampleStats stay
-     * empty there). Shared so SimResult stays cheap to copy.
+     * Fixed-bin latency histograms, set only by runs configured
+     * with SimConfig::boundedLatency (metrics' latency SampleStats
+     * stay empty there). Shared so SimResult stays cheap to copy.
      */
     std::shared_ptr<const BoundedLatencyMetrics> boundedLatency;
 

@@ -162,15 +162,10 @@ SplitSystem::runCustomLoop(const SimConfig &config,
     std::vector<Request> active;
 
     // Retirement streaming, mirroring the engine loop: retired
-    // requests are ingested (and dropped) immediately unless the
-    // caller asked for the retained reference path.
-    const bool retained =
-        config.metricsMode == MetricsMode::Retained;
-    MetricsAccumulator accumulator = makeMetricsAccumulator(
-        config.metricsMode,
+    // requests are ingested and dropped immediately.
+    MetricsAccumulator accumulator(
         static_cast<std::size_t>(config.warmupRequests),
         config.boundedLatency);
-    std::vector<Request> finished;
 
     LinkQueue link(nvlink_);
 
@@ -329,10 +324,7 @@ SplitSystem::runCustomLoop(const SimConfig &config,
                 // its next turn through the shared arrival stream
                 // (no-op for every other source).
                 waiting.notifyRetired(r, decode_now);
-                if (retained)
-                    finished.push_back(std::move(r));
-                else
-                    accumulator.ingest(r); // then dropped
+                accumulator.ingest(r); // then dropped
             } else {
                 decode_agg.addDecode(r.contextLen());
                 still.push_back(std::move(r));
@@ -344,15 +336,8 @@ SplitSystem::runCustomLoop(const SimConfig &config,
             static_cast<int>(stage.agg.numDecode));
     }
 
-    result.metrics =
-        retained ? collectMetrics(finished,
-                                  static_cast<std::size_t>(
-                                      config.warmupRequests))
-                 : accumulator.takeMetrics();
-    if (config.metricsMode == MetricsMode::Bounded)
-        result.boundedLatency =
-            std::make_shared<const BoundedLatencyMetrics>(
-                accumulator.takeBounded());
+    result.metrics = accumulator.takeMetrics();
+    result.boundedLatency = accumulator.takeBounded();
     result.generatedTokens = total_generated;
     result.metrics.totalTokens = total_generated;
     result.metrics.elapsed = std::max(prefill_now, decode_now);

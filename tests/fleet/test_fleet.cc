@@ -446,5 +446,54 @@ TEST(Fleet, ScalingRequiresOpenLoop)
         ::testing::ExitedWithCode(1), "open-loop");
 }
 
+/** An open-loop autoscaled fleet with @p edit applied to scaling. */
+template <typename Edit>
+void
+runScaled(Edit edit)
+{
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 8.0;
+    fc.scaling.enabled = true;
+    edit(fc.scaling);
+    FleetDriver(fc).run();
+}
+
+TEST(Fleet, ScaleSpecRejectsZeroWindow)
+{
+    // observedQps divides by the window: 0 made it inf and scaled
+    // the fleet up to maxInstances whatever the arrival rate.
+    EXPECT_EXIT(runScaled([](ScaleSpec &s) {
+                    s.windowSec = 0.0;
+                    s.upQpsPerInstance = 1000.0;
+                }),
+                ::testing::ExitedWithCode(1), "windowSec");
+}
+
+TEST(Fleet, ScaleSpecRejectsZeroMinInstances)
+{
+    // A floor of 0 let the autoscaler drain every instance and the
+    // router panic with nowhere to send the next arrival.
+    EXPECT_EXIT(runScaled([](ScaleSpec &s) { s.minInstances = 0; }),
+                ::testing::ExitedWithCode(1), "minInstances");
+}
+
+TEST(Fleet, ScaleSpecRejectsMinAboveMax)
+{
+    // std::clamp(lo > hi) is undefined behaviour.
+    EXPECT_EXIT(runScaled([](ScaleSpec &s) {
+                    s.minInstances = 4;
+                    s.maxInstances = 2;
+                }),
+                ::testing::ExitedWithCode(1), "maxInstances");
+}
+
+TEST(Fleet, ScaleSpecRejectsNegativeCooldown)
+{
+    EXPECT_EXIT(
+        runScaled([](ScaleSpec &s) { s.cooldownSec = -1.0; }),
+        ::testing::ExitedWithCode(1), "cooldownSec");
+}
+
 } // namespace
 } // namespace duplex

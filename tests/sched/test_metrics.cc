@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/metrics.hh"
 
 namespace duplex
@@ -25,12 +27,23 @@ makeFinished(PicoSec arrival, std::vector<PicoSec> token_times)
     return r;
 }
 
+/** Stream @p finished through an exact accumulator, in order. */
+ServingMetrics
+ingestAll(const std::vector<Request> &finished,
+          std::size_t skip_requests = 0)
+{
+    MetricsAccumulator acc(skip_requests);
+    for (const Request &r : finished)
+        acc.ingest(r);
+    return acc.takeMetrics();
+}
+
 TEST(Metrics, T2ftAndE2e)
 {
     std::vector<Request> reqs{
         makeFinished(0, {2 * kPsPerMs, 3 * kPsPerMs, 4 * kPsPerMs}),
     };
-    const ServingMetrics m = collectMetrics(reqs);
+    const ServingMetrics m = ingestAll(reqs);
     EXPECT_DOUBLE_EQ(m.t2ftMs.median(), 2.0);
     EXPECT_DOUBLE_EQ(m.e2eMs.median(), 4.0);
 }
@@ -40,7 +53,7 @@ TEST(Metrics, TbtFromTokenGaps)
     std::vector<Request> reqs{
         makeFinished(0, {kPsPerMs, 3 * kPsPerMs, 6 * kPsPerMs}),
     };
-    const ServingMetrics m = collectMetrics(reqs);
+    const ServingMetrics m = ingestAll(reqs);
     // Gaps: 2 ms and 3 ms.
     EXPECT_EQ(m.tbtMs.count(), 2u);
     EXPECT_DOUBLE_EQ(m.tbtMs.min(), 2.0);
@@ -53,7 +66,7 @@ TEST(Metrics, WarmupSkipped)
         makeFinished(0, {100 * kPsPerMs}), // warm-up outlier
         makeFinished(0, {2 * kPsPerMs}),
     };
-    const ServingMetrics m = collectMetrics(reqs, 1);
+    const ServingMetrics m = ingestAll(reqs, 1);
     EXPECT_EQ(m.t2ftMs.count(), 1u);
     EXPECT_DOUBLE_EQ(m.t2ftMs.median(), 2.0);
 }
@@ -76,7 +89,7 @@ TEST(Metrics, DecodingOnlyRatio)
 
 TEST(Metrics, EmptyIsSafe)
 {
-    const ServingMetrics m = collectMetrics({});
+    const ServingMetrics m = ingestAll({});
     EXPECT_EQ(m.tbtMs.count(), 0u);
     EXPECT_DOUBLE_EQ(m.throughputTokensPerSec(), 0.0);
     EXPECT_DOUBLE_EQ(m.decodingOnlyRatio(), 0.0);
@@ -85,7 +98,7 @@ TEST(Metrics, EmptyIsSafe)
 TEST(Metrics, SingleTokenRequestHasNoTbt)
 {
     std::vector<Request> reqs{makeFinished(0, {kPsPerMs})};
-    const ServingMetrics m = collectMetrics(reqs);
+    const ServingMetrics m = ingestAll(reqs);
     EXPECT_EQ(m.tbtMs.count(), 0u);
     EXPECT_EQ(m.t2ftMs.count(), 1u);
 }
@@ -96,7 +109,7 @@ TEST(Metrics, SloAttainmentFractions)
         makeFinished(0, {kPsPerMs, 3 * kPsPerMs}),      // T2FT 1 ms
         makeFinished(0, {10 * kPsPerMs, 12 * kPsPerMs}), // T2FT 10 ms
     };
-    const ServingMetrics m = collectMetrics(reqs);
+    const ServingMetrics m = ingestAll(reqs);
     // TBT gaps are 2 ms each; T2FT samples are 1 and 10 ms.
     EXPECT_DOUBLE_EQ(m.t2ftAttainment({5.0, 1.0}), 0.5);
     EXPECT_DOUBLE_EQ(m.t2ftAttainment({10.0, 1.0}), 1.0);
@@ -106,38 +119,44 @@ TEST(Metrics, SloAttainmentFractions)
 
 TEST(Metrics, SloAttainmentVacuouslyMetWhenEmpty)
 {
-    const ServingMetrics m = collectMetrics({});
+    const ServingMetrics m = ingestAll({});
     EXPECT_DOUBLE_EQ(m.t2ftAttainment({}), 1.0);
     EXPECT_DOUBLE_EQ(m.tbtAttainment({}), 1.0);
 }
 
-TEST(MetricsAccumulatorTest, StreamingMatchesCollectMetrics)
+TEST(MetricsAccumulatorTest, WarmupSkipDropsCompletionOrderPrefix)
 {
-    // Ingesting at retirement must reproduce the retained-vector
-    // walk bit-for-bit, including the float-summation order.
+    // Skipping the first k ingested requests must equal ingesting
+    // only the rest, bit-for-bit (float-summation order included).
     std::vector<Request> reqs{
         makeFinished(0, {2 * kPsPerMs, 5 * kPsPerMs, 6 * kPsPerMs}),
         makeFinished(kPsPerMs, {3 * kPsPerMs, 9 * kPsPerMs}),
         makeFinished(0, {7 * kPsPerMs}),
     };
     for (std::size_t skip : {0u, 1u, 2u, 3u, 7u}) {
-        const ServingMetrics retained = collectMetrics(reqs, skip);
+        const std::vector<Request> rest(
+            reqs.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(skip, reqs.size())),
+            reqs.end());
+        const ServingMetrics want = ingestAll(rest);
         MetricsAccumulator acc(skip);
         for (const Request &r : reqs)
             acc.ingest(r);
+        EXPECT_EQ(acc.ingested(), reqs.size());
         ServingMetrics streamed = acc.takeMetrics();
-        EXPECT_EQ(streamed.t2ftMs.count(), retained.t2ftMs.count());
-        EXPECT_EQ(streamed.t2ftMs.sum(), retained.t2ftMs.sum());
-        EXPECT_EQ(streamed.e2eMs.sum(), retained.e2eMs.sum());
-        EXPECT_EQ(streamed.tbtMs.count(), retained.tbtMs.count());
+        EXPECT_EQ(streamed.t2ftMs.count(), want.t2ftMs.count());
+        EXPECT_EQ(streamed.t2ftMs.sum(), want.t2ftMs.sum());
+        EXPECT_EQ(streamed.e2eMs.sum(), want.e2eMs.sum());
+        EXPECT_EQ(streamed.tbtMs.count(), want.tbtMs.count());
         EXPECT_EQ(streamed.tbtMs.percentile(90),
-                  retained.tbtMs.percentile(90));
+                  want.tbtMs.percentile(90));
     }
 }
 
 TEST(MetricsAccumulatorTest, WorstGapPerRequest)
 {
     MetricsAccumulator acc(0);
+    EXPECT_FALSE(acc.bounded());
     // Gaps 3 ms and 1 ms: worst is 3.
     acc.ingest(makeFinished(
         0, {kPsPerMs, 4 * kPsPerMs, 5 * kPsPerMs}));
@@ -146,6 +165,7 @@ TEST(MetricsAccumulatorTest, WorstGapPerRequest)
     EXPECT_EQ(acc.ingested(), 2u);
     EXPECT_EQ(acc.worstGapMs().count(), 1u);
     EXPECT_DOUBLE_EQ(acc.worstGapMs().max(), 3.0);
+    EXPECT_EQ(acc.takeBounded(), nullptr); // exact: no histograms
 }
 
 TEST(MetricsAccumulatorTest, BoundedModeUsesHistograms)
@@ -157,7 +177,10 @@ TEST(MetricsAccumulatorTest, BoundedModeUsesHistograms)
     // Exact-mode stats stay empty in bounded mode.
     const ServingMetrics m = acc.takeMetrics();
     EXPECT_EQ(m.t2ftMs.count(), 0u);
-    const BoundedLatencyMetrics h = acc.takeBounded();
+    const std::shared_ptr<const BoundedLatencyMetrics> bounded =
+        acc.takeBounded();
+    ASSERT_NE(bounded, nullptr);
+    const BoundedLatencyMetrics &h = *bounded;
     EXPECT_EQ(h.t2ftMs.count(), 1u); // warm-up excluded
     EXPECT_DOUBLE_EQ(h.t2ftMs.max(), 2.0);
     EXPECT_EQ(h.tbtMs.count(), 1u);

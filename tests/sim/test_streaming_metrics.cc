@@ -1,13 +1,17 @@
 /**
  * @file
- * Retirement-streaming property tests: the drainFinished() +
- * MetricsAccumulator path (MetricsMode::Streaming, the default)
- * must be bit-identical to the retained-vector collectMetrics path
- * (MetricsMode::Retained) on closed and open loops, for both the
- * engine's batcher loop and the split system's custom loop —
- * including the warm-up-request exclusion edge cases. Also covers
- * the Bounded histogram mode's contract: exact counts/extremes,
- * approximate percentiles, empty SampleStats.
+ * Retirement-streaming property tests: every driver loop drains
+ * retired requests into a MetricsAccumulator and drops them, so the
+ * run's latency metrics must be bit-identical to a
+ * MetricsAccumulator fed the onRequestRetired stream an observer
+ * recorded, with the same warm-up skip. Pinned on closed and open
+ * loops, for both the engine's batcher loop and the split system's
+ * custom loop, on the multi-turn session workload (whose next turn
+ * is released after the observers) with and without a KV prefix
+ * cache, and on the warm-up-request exclusion edge cases. Also
+ * covers the bounded histogram contract: exact counts/extremes,
+ * approximate percentiles, empty SampleStats, and the same
+ * retirement stream as an exact run.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +39,23 @@ baseConfig(const std::string &system)
     return c;
 }
 
+/** Multi-turn chat: follow-up turns arrive after retirement. */
+SimConfig
+sessionConfig(const std::string &system)
+{
+    SimConfig c = baseConfig(system);
+    c.workloadName = "session";
+    c.workload.qps = 2.0; // fresh sessions/s
+    c.workload.meanInputLen = 192;
+    c.workload.meanOutputLen = 48;
+    c.workload.sessionTurns = 4;
+    c.workload.sharedPrefixTokens = 96;
+    c.workload.meanThinkSec = 0.1;
+    c.numRequests = 64;
+    c.maxStages = 200000;
+    return c;
+}
+
 /** Bit-exact comparison of two sample accumulators. */
 void
 expectSameSamples(const SampleStats &a, const SampleStats &b,
@@ -50,79 +71,120 @@ expectSameSamples(const SampleStats &a, const SampleStats &b,
             << what << " p" << p;
 }
 
-void
-expectStreamingMatchesRetained(SimConfig config)
+/** Keeps a copy of every retired request, in retirement order. */
+class RetireRecorder : public SimObserver
 {
-    config.metricsMode = MetricsMode::Streaming;
-    const SimResult streaming = SimulationEngine(config).run();
-    config.metricsMode = MetricsMode::Retained;
-    const SimResult retained = SimulationEngine(config).run();
+  public:
+    std::vector<Request> retired;
+    std::vector<PicoSec> times;
 
-    EXPECT_EQ(streaming.metrics.elapsed, retained.metrics.elapsed);
-    EXPECT_EQ(streaming.metrics.totalTokens,
-              retained.metrics.totalTokens);
-    EXPECT_EQ(streaming.generatedTokens, retained.generatedTokens);
-    EXPECT_EQ(streaming.peakBatch, retained.peakBatch);
-    EXPECT_EQ(streaming.metrics.decodingOnlyStages,
-              retained.metrics.decodingOnlyStages);
-    EXPECT_EQ(streaming.metrics.mixedStages,
-              retained.metrics.mixedStages);
-    EXPECT_EQ(streaming.totals.time, retained.totals.time);
-    EXPECT_EQ(streaming.totals.totalEnergyJ(),
-              retained.totals.totalEnergyJ());
-    expectSameSamples(streaming.metrics.tbtMs,
-                      retained.metrics.tbtMs, "tbt");
-    expectSameSamples(streaming.metrics.t2ftMs,
-                      retained.metrics.t2ftMs, "t2ft");
-    expectSameSamples(streaming.metrics.e2eMs,
-                      retained.metrics.e2eMs, "e2e");
+    void onRequestRetired(const Request &r, PicoSec now) override
+    {
+        retired.push_back(r);
+        times.push_back(now);
+    }
+};
+
+/**
+ * Run @p config with a RetireRecorder attached, check that every
+ * request retired and that the run's latency metrics match a
+ * MetricsAccumulator fed the recorded stream. Returns the run.
+ */
+SimResult
+expectMetricsMatchRecordedStream(const SimConfig &config)
+{
+    SimulationEngine engine(config);
+    RetireRecorder recorder;
+    engine.addObserver(&recorder);
+    const SimResult r = engine.run();
+
+    MetricsAccumulator reference(
+        static_cast<std::size_t>(config.warmupRequests));
+    for (const Request &req : recorder.retired)
+        reference.ingest(req);
+    const ServingMetrics want = reference.takeMetrics();
+
+    EXPECT_EQ(recorder.retired.size(),
+              static_cast<std::size_t>(config.numRequests));
+    expectSameSamples(r.metrics.tbtMs, want.tbtMs, "tbt");
+    expectSameSamples(r.metrics.t2ftMs, want.t2ftMs, "t2ft");
+    expectSameSamples(r.metrics.e2eMs, want.e2eMs, "e2e");
+    EXPECT_EQ(r.boundedLatency, nullptr);
+    // Each retirement is reported at its request's finish time.
+    for (std::size_t i = 0; i < recorder.retired.size(); ++i)
+        EXPECT_EQ(recorder.times[i], recorder.retired[i].finished);
+    return r;
 }
 
-TEST(StreamingMetrics, EngineClosedLoopMatchesRetained)
+TEST(StreamingMetrics, EngineClosedLoopMatchesRecordedStream)
 {
-    expectStreamingMatchesRetained(baseConfig("gpu"));
+    expectMetricsMatchRecordedStream(baseConfig("gpu"));
 }
 
-TEST(StreamingMetrics, EngineOpenLoopMatchesRetained)
+TEST(StreamingMetrics, EngineOpenLoopMatchesRecordedStream)
 {
     SimConfig c = baseConfig("gpu");
     c.workload.qps = 4.0;
-    expectStreamingMatchesRetained(c);
+    expectMetricsMatchRecordedStream(c);
 }
 
-TEST(StreamingMetrics, SplitClosedLoopMatchesRetained)
+TEST(StreamingMetrics, SplitClosedLoopMatchesRecordedStream)
 {
-    expectStreamingMatchesRetained(baseConfig("duplex-split"));
+    expectMetricsMatchRecordedStream(baseConfig("duplex-split"));
 }
 
-TEST(StreamingMetrics, SplitOpenLoopMatchesRetained)
+TEST(StreamingMetrics, SplitOpenLoopMatchesRecordedStream)
 {
     SimConfig c = baseConfig("duplex-split");
     c.workload.qps = 4.0;
-    expectStreamingMatchesRetained(c);
+    expectMetricsMatchRecordedStream(c);
 }
 
-TEST(StreamingMetrics, ContendedSplitMatchesRetained)
+TEST(StreamingMetrics, ContendedSplitMatchesRecordedStream)
 {
     // The contended link reorders decode admissions relative to
     // the free-copy model; retirement streaming must track it.
     SimConfig c = baseConfig("duplex-split-contended");
     c.workload.qps = 6.0;
-    expectStreamingMatchesRetained(c);
+    expectMetricsMatchRecordedStream(c);
+}
+
+TEST(StreamingMetrics, EngineSessionMatchesRecordedStream)
+{
+    // Follow-up turns are released by notifyRetired after the
+    // observers and the accumulator have seen the retirement.
+    expectMetricsMatchRecordedStream(sessionConfig("gpu"));
+}
+
+TEST(StreamingMetrics, EngineSessionPrefixCacheMatchesRecordedStream)
+{
+    SimConfig c = sessionConfig("gpu");
+    c.prefixCache.budgetBytes = 64LL * 1024 * 1024;
+    c.prefixCache.sharedPrefixTokens = c.workload.sharedPrefixTokens;
+    const SimResult r = expectMetricsMatchRecordedStream(c);
+    // The cache is live: warm turns skip part of their prefill.
+    EXPECT_GT(r.prefixCache.hits, 0);
+}
+
+TEST(StreamingMetrics, SplitSessionMatchesRecordedStream)
+{
+    // The split loop releases the next turn before ingesting the
+    // retired one; the accumulator must still see it unchanged.
+    expectMetricsMatchRecordedStream(sessionConfig("duplex-split"));
 }
 
 TEST(StreamingMetrics, WarmupExclusionEdges)
 {
-    // skip == 0 (nothing excluded), skip beyond the finished count
-    // (everything excluded), and skip == count (exact boundary).
+    // skip == 0 (nothing excluded), skip == count (exact
+    // boundary) and skip beyond the finished count (everything
+    // excluded).
     for (int warmup : {0, 48, 1000}) {
         SimConfig c = baseConfig("gpu");
         c.warmupRequests = warmup;
-        expectStreamingMatchesRetained(c);
+        expectMetricsMatchRecordedStream(c);
     }
     SimConfig c = baseConfig("gpu");
     c.warmupRequests = 1000; // > every retirement
-    c.metricsMode = MetricsMode::Streaming;
     const SimResult r = SimulationEngine(c).run();
     EXPECT_EQ(r.metrics.t2ftMs.count(), 0u);
     EXPECT_EQ(r.metrics.tbtMs.count(), 0u);
@@ -131,8 +193,9 @@ TEST(StreamingMetrics, WarmupExclusionEdges)
 
 TEST(StreamingMetrics, ObserverStreamIdenticalAcrossModes)
 {
-    // The retirement order is part of the observer contract: both
-    // modes must fire the same onRequestRetired sequence.
+    // The retirement order is part of the observer contract: an
+    // exact run and a bounded run must fire the same
+    // onRequestRetired sequence and the same throughput accounting.
     class RetireLog : public SimObserver
     {
       public:
@@ -144,31 +207,43 @@ TEST(StreamingMetrics, ObserverStreamIdenticalAcrossModes)
         }
     };
 
-    SimConfig c = baseConfig("gpu");
-    c.metricsMode = MetricsMode::Streaming;
-    SimulationEngine streaming(c);
-    RetireLog a;
-    streaming.addObserver(&a);
-    streaming.run();
+    for (SimConfig c : {baseConfig("gpu"), sessionConfig("gpu"),
+                        sessionConfig("duplex-split")}) {
+        SimulationEngine streaming(c);
+        RetireLog a;
+        streaming.addObserver(&a);
+        const SimResult exact = streaming.run();
 
-    c.metricsMode = MetricsMode::Retained;
-    SimulationEngine retained(c);
-    RetireLog b;
-    retained.addObserver(&b);
-    retained.run();
+        c.boundedLatency = BoundedSpec{};
+        SimulationEngine bounded(c);
+        RetireLog b;
+        bounded.addObserver(&b);
+        const SimResult approx = bounded.run();
 
-    EXPECT_EQ(a.log, b.log);
-    EXPECT_EQ(a.log.size(), 48u);
+        EXPECT_EQ(a.log, b.log);
+        EXPECT_EQ(a.log.size(),
+                  static_cast<std::size_t>(c.numRequests));
+        EXPECT_EQ(exact.metrics.elapsed, approx.metrics.elapsed);
+        EXPECT_EQ(exact.metrics.totalTokens,
+                  approx.metrics.totalTokens);
+        EXPECT_EQ(exact.generatedTokens, approx.generatedTokens);
+        EXPECT_EQ(exact.peakBatch, approx.peakBatch);
+        EXPECT_EQ(exact.metrics.decodingOnlyStages,
+                  approx.metrics.decodingOnlyStages);
+        EXPECT_EQ(exact.metrics.mixedStages,
+                  approx.metrics.mixedStages);
+        EXPECT_EQ(exact.totals.time, approx.totals.time);
+        EXPECT_EQ(exact.totals.totalEnergyJ(),
+                  approx.totals.totalEnergyJ());
+    }
 }
 
 TEST(StreamingMetrics, BoundedModeApproximatesExact)
 {
     SimConfig c = baseConfig("gpu");
-    c.metricsMode = MetricsMode::Streaming;
     const SimResult exact = SimulationEngine(c).run();
 
-    c.metricsMode = MetricsMode::Bounded;
-    c.boundedLatency = {1000.0, 4096}; // sub-ms bins up to 1 s
+    c.boundedLatency = BoundedSpec{1000.0, 4096}; // sub-ms bins to 1 s
     const SimResult bounded = SimulationEngine(c).run();
 
     // Throughput accounting is exact in every mode.
@@ -197,14 +272,14 @@ TEST(StreamingMetrics, BoundedModeApproximatesExact)
     EXPECT_LE(h.worstGapMs.count(), 40u);
     EXPECT_GE(h.worstGapMs.min(), exact.metrics.tbtMs.min());
     EXPECT_EQ(h.worstGapMs.max(), exact.metrics.tbtMs.max());
-    // Streaming/retained runs carry no histograms.
+    // Exact runs carry no histograms.
     EXPECT_EQ(exact.boundedLatency, nullptr);
 }
 
 TEST(StreamingMetrics, SplitBoundedModeWorks)
 {
     SimConfig c = baseConfig("duplex-split");
-    c.metricsMode = MetricsMode::Bounded;
+    c.boundedLatency = BoundedSpec{};
     const SimResult r = SimulationEngine(c).run();
     ASSERT_NE(r.boundedLatency, nullptr);
     EXPECT_EQ(r.boundedLatency->e2eMs.count(), 40u);
