@@ -12,12 +12,19 @@
  * on the SweepRunner worker pool via runTasks() — the generic
  * primitive under the figure benches' runSweep().
  *
+ * An instance-count curve follows: least-loaded fleets of 32 to
+ * 1024 instances at a fixed per-instance load, each run alone and
+ * timed, so the host cost per request shows how the fleet driver
+ * scales with the instance count.
+ *
  * Output discipline (same as bench_longrun): everything
- * deterministic (the policy table) goes to stdout — the CI
- * determinism job can diff two runs byte-for-byte. Wall-clock and
- * RSS go to stderr and, with --json=PATH, into a JSON file the CI
- * perf job merges into the BENCH_perf gate
- * (fleet.requests_per_sec floor; see tools/check_perf.py).
+ * deterministic (the policy table, the curve's retired/stages/
+ * makespan table) goes to stdout — the CI determinism job can diff
+ * two runs byte-for-byte. Wall-clock and RSS go to stderr and, with
+ * --json=PATH, into a JSON file the CI perf job merges into the
+ * BENCH_perf gate (fleet.requests_per_sec floor and the
+ * fleet.scale_cost_ratio ceiling — the curve's 1024-instance cost
+ * per request over its 32-instance cost; see tools/check_perf.py).
  *
  *   ./bench_fleet                       # the full sweep
  *   ./bench_fleet --requests=32         # quick smoke run
@@ -26,12 +33,14 @@
 
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
+#include "dram/calibrate.hh"
 #include "fleet/fleet.hh"
 
 using namespace duplex;
@@ -41,6 +50,13 @@ namespace
 
 constexpr int kFleetSizes[] = {2, 4};
 constexpr double kQpsPerInstance = 4.0;
+
+/** The instance-count curve: perfbench fleet-wide's shape (gpu
+ *  Mixtral at batch 16, 6 qps and 16 requests per instance). */
+constexpr int kCurveSizes[] = {32, 128, 512, 1024};
+constexpr int kCurveLargest = kCurveSizes[std::size(kCurveSizes) - 1];
+constexpr double kCurveQpsPerInstance = 6.0;
+constexpr int kCurveRequestsPerInstance = 16;
 
 /** One sweep cell: a policy on a fleet size, with its outcome. */
 struct FleetCell
@@ -77,6 +93,33 @@ cellConfig(const FleetCell &cell, int requests_per_instance)
     fc.policy = cell.policy;
     return fc;
 }
+
+FleetConfig
+curveConfig(int size)
+{
+    FleetConfig fc;
+    fc.sim.systemName = "gpu";
+    fc.sim.model = mixtralConfig();
+    fc.sim.maxBatch = 16;
+    fc.sim.workload.meanInputLen = 256;
+    fc.sim.workload.meanOutputLen = 64;
+    fc.sim.workload.qps = kCurveQpsPerInstance * size;
+    fc.sim.numRequests = kCurveRequestsPerInstance * size;
+    fc.sim.warmupRequests = 0;
+    fc.sim.maxStages = 2000000;
+    fc.instances = size;
+    fc.policy = "least-loaded";
+    return fc;
+}
+
+/** Counts every stage of every instance. */
+class StageCounter : public FleetObserver
+{
+  public:
+    void onStage(int, const StageObservation &) override { ++stages; }
+
+    std::int64_t stages = 0;
+};
 
 } // namespace
 
@@ -151,8 +194,59 @@ main(int argc, char **argv)
     std::printf("Attainment covers every retired request; "
                 "tokens/s and TBT are post-warm-up.\n");
 
+    // ---- instance-count curve --------------------------------
+    // Each size runs alone, so its wall-clock is its own, and
+    // repeats until it has served as many requests as the largest
+    // fleet: a short run would let one scheduling hiccup of a shared
+    // machine swing its cost. The DRAM calibration is shared by
+    // every instance; warm it first so the smallest fleet does not
+    // pay for it.
+    cachedCalibration();
+    banner("Fleet driver scaling: least-loaded x instance count");
+    std::printf("gpu instances, Lin 256, Lout 64, open loop at "
+                "%.0f qps/instance, %d request(s)/instance\n",
+                kCurveQpsPerInstance, kCurveRequestsPerInstance);
+    Table curve({"Fleet", "retired", "stages", "makespan s"});
+    std::vector<std::pair<std::string, double>> curve_perf;
+    for (int size : kCurveSizes) {
+        const int repeats = kCurveLargest / size;
+        StageCounter counter;
+        FleetResult r;
+        const auto c0 = std::chrono::steady_clock::now();
+        for (int rep = 0; rep < repeats; ++rep) {
+            counter.stages = 0;
+            FleetDriver driver(curveConfig(size));
+            driver.addObserver(&counter);
+            r = driver.run();
+        }
+        const double us_per_request =
+            std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - c0)
+                .count() /
+            static_cast<double>(r.requestsRetired * repeats);
+        curve.startRow();
+        curve.cell(static_cast<double>(size), 0);
+        curve.cell(static_cast<double>(r.requestsRetired), 0);
+        curve.cell(static_cast<double>(counter.stages), 0);
+        curve.cell(psToSec(r.metrics.elapsed), 6);
+        std::fprintf(stderr,
+                     "fleet curve: %d instances, %.1f us/request\n",
+                     size, us_per_request);
+        curve_perf.push_back({"us_per_request_" +
+                                  std::to_string(size),
+                              us_per_request});
+    }
+    curve.print();
+    // Host cost per request at the largest fleet over the smallest:
+    // 1.0 means the driver's per-request cost does not grow with N.
+    const double ratio =
+        curve_perf.back().second / curve_perf.front().second;
+    std::fprintf(stderr, "fleet curve: scale cost ratio %.2f\n",
+                 ratio);
+    curve_perf.push_back({"scale_cost_ratio", ratio});
+
     // ---- perf numbers (stderr + JSON; never in the diffed out) -
     return reportSweepPerf("fleet", "fleet", cells.size(),
                            total_retired, wall_sec,
-                           args.getString("json"));
+                           args.getString("json"), curve_perf);
 }

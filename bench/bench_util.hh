@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rss.hh"
@@ -182,14 +183,17 @@ fig12SweepConfigs()
  * Report a sweep gate's host-side perf: one stderr summary line
  * ("<label> sweep: ...") and, when @p json_path is non-empty, a
  * JSON file whose @p json_key section tools/check_perf.py merges
- * into the BENCH_perf gate. Never touches stdout, which the CI
- * determinism job diffs. Returns the process exit code: 1 when the
- * JSON file cannot be written, else 0.
+ * into the BENCH_perf gate; @p extra adds (name, value) fields to
+ * that section. Never touches stdout, which the CI determinism job
+ * diffs. Returns the process exit code: 1 when the JSON file cannot
+ * be written, else 0.
  */
 inline int
-reportSweepPerf(const char *label, const char *json_key,
-                std::size_t runs, std::int64_t retired,
-                double wall_sec, const std::string &json_path)
+reportSweepPerf(
+    const char *label, const char *json_key, std::size_t runs,
+    std::int64_t retired, double wall_sec,
+    const std::string &json_path,
+    const std::vector<std::pair<std::string, double>> &extra = {})
 {
     const double rss_mb = peakRssMb();
     const double req_per_sec =
@@ -215,11 +219,13 @@ reportSweepPerf(const char *label, const char *json_key,
                  "    \"requests_retired\": %lld,\n"
                  "    \"wall_sec\": %.3f,\n"
                  "    \"requests_per_sec\": %.3f,\n"
-                 "    \"peak_rss_mb\": %.3f\n"
-                 "  }\n"
-                 "}\n",
+                 "    \"peak_rss_mb\": %.3f",
                  json_key, runs, static_cast<long long>(retired),
                  wall_sec, req_per_sec, rss_mb);
+    for (const auto &[name, value] : extra)
+        std::fprintf(json, ",\n    \"%s\": %.3f", name.c_str(),
+                     value);
+    std::fprintf(json, "\n  }\n}\n");
     std::fclose(json);
     std::fprintf(stderr, "wrote %s\n", json_path.c_str());
     return 0;

@@ -36,6 +36,15 @@ RetrySpec::backoffFor(int attempt) const
 }
 
 void
+RetrySpec::validate() const
+{
+    fatalIf(maxAttempts < 0, "RetrySpec: negative maxAttempts");
+    fatalIf(backoffSec < 0.0, "RetrySpec: negative backoffSec");
+    fatalIf(multiplier <= 0.0,
+            "RetrySpec: multiplier must be positive");
+}
+
+void
 FaultSpec::validate() const
 {
     fatalIf(mtbfSec < 0.0, "FaultSpec: negative mtbfSec");

@@ -218,6 +218,10 @@ struct RetrySpec
 
     /** Simulated backoff ahead of attempt @p attempt (1-based). */
     PicoSec backoffFor(int attempt) const;
+
+    /** Fatal on negative attempts or backoff, or a non-positive
+     *  multiplier. FleetDriver calls it once per faulted run. */
+    void validate() const;
 };
 
 /**

@@ -98,6 +98,10 @@ struct FleetDriver::Instance
     std::deque<std::int64_t> queuedKv;
     std::int64_t queuedKvSum = 0;
 
+    /** Busy-index set holding (indexedAt, id); null when idle. */
+    std::set<ClockKey> *indexedIn = nullptr;
+    PicoSec indexedAt = 0;
+
     /** Up, admitting and not retired: the router may pick it.
      *  Crashed and proactively draining instances are ejected. */
     bool routable() const
@@ -141,22 +145,35 @@ FleetDriver::addObserver(FleetObserver *observer)
     observers_.push_back(observer);
 }
 
-int
-FleetDriver::acceptingCount() const
+/** Re-file @p inst in the busy index (see fleet.hh for when): an
+ *  up instance with work sits in steppable_, or in capped_ once its
+ *  stage budget is spent; every other instance sits in neither. */
+void
+FleetDriver::reindex(Instance &inst)
 {
-    int n = 0;
-    for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting)
-            ++n;
-    return n;
+    if (inst.indexedIn != nullptr)
+        inst.indexedIn->erase({inst.indexedAt, inst.id});
+    inst.indexedIn = nullptr;
+    if (inst.retired || inst.down || inst.loop->idle())
+        return;
+    inst.indexedIn =
+        inst.loop->stageCapped() ? &capped_ : &steppable_;
+    inst.indexedAt = inst.loop->now();
+    inst.indexedIn->insert({inst.indexedAt, inst.id});
 }
 
-std::vector<InstanceStatus>
-FleetDriver::snapshot() const
+/** The one per-route pass: march idle live instances to @p at when
+ *  @p march (so the chosen one admits at the arrival, as the bare
+ *  engine would) and refill statuses_ in id order. */
+void
+FleetDriver::fillStatuses(PicoSec at, bool march)
 {
-    std::vector<InstanceStatus> out;
-    out.reserve(instances_.size());
+    statuses_.clear();
     for (const auto &inst : instances_) {
+        if (inst->retired || inst->down)
+            continue;
+        if (march && inst->loop->idle())
+            inst->loop->advanceTo(at);
         if (!inst->routable())
             continue;
         InstanceStatus s;
@@ -170,9 +187,8 @@ FleetDriver::snapshot() const
                        inst->loop->activeLifetimeKv() -
                        inst->queuedKvSum;
         s.clock = inst->loop->now();
-        out.push_back(s);
+        statuses_.push_back(s);
     }
-    return out;
 }
 
 FleetDriver::Instance &
@@ -210,8 +226,11 @@ FleetDriver::spawn(PicoSec now)
               .instances;
     }
     result_.perInstanceDowntime.push_back(0);
+    result_.peakInstances = std::max(result_.peakInstances, ++live_);
+    ++accepting_;
     Instance &ref = *inst;
     instances_.push_back(std::move(inst));
+    reindex(ref);
     for (FleetObserver *o : observers_)
         o->onInstanceUp(ref.id, now);
     return ref;
@@ -256,7 +275,7 @@ FleetDriver::maybeScale(PicoSec now)
     const double qps = observedQps(now);
     if (now - lastScaleTime_ < secToPs(spec.cooldownSec))
         return;
-    const int accepting = acceptingCount();
+    const int accepting = accepting_;
     // Availability-aware mode: thresholds act on effective capacity
     // accepting x (1 - observed unavailability) — the MTTR/MTBF
     // share the fleet is losing gets provisioned as spare headroom.
@@ -286,6 +305,8 @@ FleetDriver::maybeScale(PicoSec now)
             if (!inst->retired && inst->accepting)
                 victim = inst.get();
         victim->accepting = false;
+        --accepting_;
+        drained_.insert(victim->id);
         event.kind = ScaleEvent::Kind::Drain;
         event.instance = victim->id;
         event.acceptingAfter = accepting - 1;
@@ -305,6 +326,8 @@ FleetDriver::retireInstance(Instance &inst)
     panicIf(!inst.loop->idle(),
             "retiring a fleet instance with in-flight requests");
     inst.retired = true;
+    --live_;
+    reindex(inst);
     // A draining instance can crash out (its work already evicted
     // and re-routed); retirement closes the downtime interval.
     if (inst.down)
@@ -313,19 +336,10 @@ FleetDriver::retireInstance(Instance &inst)
     event.kind = ScaleEvent::Kind::Retire;
     event.time = inst.loop->now();
     event.instance = inst.id;
-    event.acceptingAfter = acceptingCount();
+    event.acceptingAfter = accepting_;
     result_.scaleEvents.push_back(event);
     for (FleetObserver *o : observers_)
         o->onScaleEvent(event);
-}
-
-bool
-FleetDriver::anyRoutable() const
-{
-    for (const auto &inst : instances_)
-        if (inst->routable())
-            return true;
-    return false;
 }
 
 /**
@@ -380,27 +394,21 @@ FleetDriver::pumpFaults(PicoSec at)
 bool
 FleetDriver::serviceFaults(Instance &inst, PicoSec horizon)
 {
+    // @p t when it is set (>= 0) and due by the horizon, else -1.
+    const auto due = [horizon](PicoSec t) {
+        return t >= 0 && t <= horizon ? t : -1;
+    };
     bool fired = false;
     for (;;) {
-        const PicoSec rejoin =
-            inst.down && inst.rejoinAt >= 0 &&
-                    inst.rejoinAt <= horizon
-                ? inst.rejoinAt
-                : -1;
+        const PicoSec rejoin = due(inst.down ? inst.rejoinAt : -1);
         const PicoSec degradeEnd =
-            !inst.down && inst.degradeEnd >= 0 &&
-                    inst.degradeEnd <= horizon
-                ? inst.degradeEnd
-                : -1;
+            due(inst.down ? -1 : inst.degradeEnd);
         const PicoSec fault =
-            inst.plan.pending() && inst.plan.nextAt() <= horizon
-                ? inst.plan.nextAt()
-                : -1;
+            due(inst.plan.pending() ? inst.plan.nextAt() : -1);
         const PicoSec domain =
-            !inst.domainPending.empty() &&
-                    inst.domainPending.front().at <= horizon
-                ? inst.domainPending.front().at
-                : -1;
+            due(inst.domainPending.empty()
+                    ? -1
+                    : inst.domainPending.front().at);
         PicoSec next = -1;
         for (PicoSec t : {rejoin, degradeEnd, fault, domain})
             if (t >= 0 && (next < 0 || t < next))
@@ -460,6 +468,7 @@ FleetDriver::applyCrash(Instance &inst, const FaultEvent &event)
     inst.faultDrain = false;
     inst.health = InstanceHealth::Healthy;
     inst.down = true;
+    reindex(inst);
     inst.downSince = now;
     inst.rejoinAt = event.duration < 0
                         ? -1
@@ -500,6 +509,7 @@ FleetDriver::applyDrain(Instance &inst, const FaultEvent &event,
     inst.faultDrain = true;
     std::vector<Request> queued;
     inst.loop->evictQueued(queued);
+    reindex(inst);
     inst.queuedKv.clear();
     inst.queuedKvSum = 0;
     ++result_.drains;
@@ -530,6 +540,7 @@ FleetDriver::rejoinInstance(Instance &inst, PicoSec at)
     // Empty batch, clock resumed at the repair time (no-op when the
     // crash-frozen clock already sits past it).
     inst.loop->advanceTo(at);
+    reindex(inst);
     FaultEvent rec;
     rec.kind = FaultKind::Rejoin;
     recordFault(inst, rec, at);
@@ -690,12 +701,7 @@ FleetDriver::run()
     // instance (initial and autoscaled) gets its fault timeline.
     faultsEnabled_ = config_.faults.enabled();
     if (faultsEnabled_) {
-        fatalIf(config_.retry.maxAttempts < 0,
-                "RetrySpec: negative maxAttempts");
-        fatalIf(config_.retry.backoffSec < 0.0,
-                "RetrySpec: negative backoffSec");
-        fatalIf(config_.retry.multiplier <= 0.0,
-                "RetrySpec: multiplier must be positive");
+        config_.retry.validate();
         config_.faults.validate();
     }
     // Failure-domain topology: per-domain books whenever a domain
@@ -719,15 +725,15 @@ FleetDriver::run()
             "fleet autoscaling needs an open-loop workload "
             "(qps > 0)");
 
-    result_.peakInstances = initial;
-
     for (;;) {
-        // Retire drained instances the moment they go idle, so they
-        // stop participating in the min-clock scan.
-        for (auto &inst : instances_)
-            if (!inst->retired && !inst->accepting &&
-                inst->loop->idle())
-                retireInstance(*inst);
+        // Retire drained instances the moment they go idle (id
+        // order), so they stop gating routing.
+        std::erase_if(drained_, [this](int id) {
+            Instance &inst = *instances_[id];
+            if (inst.loop->idle())
+                retireInstance(inst);
+            return inst.retired;
+        });
 
         // Faults due at each instance's own clock strike before any
         // routing or stepping decision reads fleet state.
@@ -735,21 +741,20 @@ FleetDriver::run()
 
         // Route every arrival no BUSY instance is still behind: a
         // busy instance's state at the arrival time is not yet
-        // known, so routing must wait for it; an idle instance has
-        // nothing to do until the arrival, so its clock simply
-        // marches forward (the engine's idleAdvance, applied
-        // fleet-wide). Closed loop: arrivals carry no timestamps,
-        // so the whole stream routes up front and the queued-KV
-        // accounting makes the balancing policies spread it
-        // sensibly. Crash retries re-enter here, merged with the
-        // shared stream in timestamp order and gated like open-loop
-        // arrivals; down instances neither gate routing nor appear
-        // in the snapshot.
+        // known; an idle one just marches forward (idleAdvance,
+        // fleet-wide). Closed loop: arrivals carry no timestamps, so
+        // the whole stream routes up front at the minimum live clock
+        // and queued-KV accounting spreads it. Crash retries merge
+        // with the shared stream in timestamp order, gated like
+        // open-loop arrivals; down instances neither gate nor route.
         for (;;) {
             const bool haveShared = !shared.empty();
             if (!haveShared && retries_.empty())
                 break;
-            if (faultsEnabled_ && !anyRoutable()) {
+            if (faultsEnabled_ &&
+                std::ranges::none_of(instances_, [](const auto &i) {
+                    return i->routable();
+                })) {
                 // The whole fleet is down (or draining): wait out
                 // the earliest repair — or, when nothing is down
                 // with a repair scheduled, close the earliest
@@ -761,16 +766,6 @@ FleetDriver::run()
                             "requests still pending");
                 continue;
             }
-            PicoSec busyMin = std::numeric_limits<PicoSec>::max();
-            PicoSec allMin = std::numeric_limits<PicoSec>::max();
-            for (const auto &inst : instances_) {
-                if (inst->retired || inst->down)
-                    continue;
-                allMin = std::min(allMin, inst->loop->now());
-                if (!inst->loop->idle())
-                    busyMin =
-                        std::min(busyMin, inst->loop->now());
-            }
             // Retries carry real timestamps even under a closed
             // loop; the timestamp-less closed-loop stream routes
             // first there, open loop merges by earliest time
@@ -780,15 +775,21 @@ FleetDriver::run()
                 !shared.closedLoop())
                 fromRetry =
                     retries_.front().at < shared.front().arrival;
-            const PicoSec arrival = fromRetry
-                                        ? retries_.front().at
-                                        : shared.front().arrival;
-            if ((fromRetry || !shared.closedLoop()) &&
-                arrival > busyMin)
+            const bool timed = fromRetry || !shared.closedLoop();
+            PicoSec at = fromRetry ? retries_.front().at
+                                   : shared.front().arrival;
+            // The busy-min gate: stage-capped instances hold it too.
+            const auto behind = [at](const std::set<ClockKey> &busy) {
+                return !busy.empty() && busy.begin()->first < at;
+            };
+            if (timed && (behind(steppable_) || behind(capped_)))
                 break;
-            const PicoSec at =
-                !fromRetry && shared.closedLoop() ? allMin
-                                                  : arrival;
+            if (!timed) {
+                at = std::numeric_limits<PicoSec>::max();
+                for (const auto &inst : instances_)
+                    if (!inst->retired && !inst->down)
+                        at = std::min(at, inst->loop->now());
+            }
             // Fire anything due by the routing time (rejoins
             // included), then re-evaluate.
             if (pumpFaults(at))
@@ -800,28 +801,17 @@ FleetDriver::run()
                 r = std::move(retries_.back().req);
                 retries_.pop_back();
             } else {
-                r = shared.pop(allMin);
+                r = shared.pop(at);
             }
-            // March idle instances up to the arrival so the
-            // policy's clock snapshot is consistent, and so the
-            // chosen instance admits at the arrival time exactly
-            // as the bare engine would.
-            if (fromRetry || !shared.closedLoop())
-                for (auto &inst : instances_)
-                    if (!inst->retired && !inst->down &&
-                        inst->loop->idle())
-                        inst->loop->advanceTo(at);
             if (config_.scaling.enabled) {
                 arrivalWindow_.push_back(at);
                 maybeScale(at);
             }
-            const std::vector<InstanceStatus> statuses = snapshot();
-            panicIf(statuses.empty(),
+            fillStatuses(at, timed);
+            panicIf(statuses_.empty(),
                     "fleet has no accepting instance to route to");
-            const int target = policy_->route(r, statuses);
-            panicIf(target < 0 ||
-                        target >= static_cast<int>(
-                                      instances_.size()) ||
+            const int target = policy_->route(r, statuses_);
+            panicIf(target < 0 || target >= std::ssize(instances_) ||
                         !instances_[target]->routable(),
                     "routing policy '" + config_.policy +
                         "' picked an unroutable instance");
@@ -830,49 +820,30 @@ FleetDriver::run()
             for (FleetObserver *o : observers_)
                 o->onRequestRouted(target, r, at);
             inst.loop->pushArrival(std::move(r));
+            reindex(inst);
             inst.queuedKv.push_back(kv);
             inst.queuedKvSum += kv;
             if (inst.domain >= 0)
-                ++result_.perDomain[static_cast<std::size_t>(
-                                        inst.domain)]
-                      .routed;
+                ++result_.perDomain[inst.domain].routed;
             ++result_.requestsRouted;
         }
-        result_.peakInstances = std::max(
-            result_.peakInstances,
-            static_cast<int>(std::count_if(
-                instances_.begin(), instances_.end(),
-                [](const auto &i) { return !i->retired; })));
 
-        // Step the live instance furthest behind in simulated time
+        // Step the busy instance furthest behind in simulated time
         // (lowest id on ties) — the deterministic interleaving.
-        Instance *next = nullptr;
-        for (const auto &inst : instances_) {
-            if (inst->retired || inst->down ||
-                inst->loop->done())
-                continue;
-            if (next == nullptr ||
-                inst->loop->now() < next->loop->now())
-                next = inst.get();
-        }
-        if (next != nullptr) {
-            next->loop->step();
-            next->syncQueuedKv();
+        if (!steppable_.empty()) {
+            Instance &next = *instances_[static_cast<std::size_t>(
+                steppable_.begin()->second)];
+            next.loop->step();
+            next.syncQueuedKv();
+            reindex(next);
             continue;
         }
 
-        if (shared.empty() && retries_.empty())
-            break;
-        // Every live instance is done. A stage-capped instance with
-        // work still queued ends the run (engine stage-cap
-        // semantics); otherwise all are idle — march them to the
-        // next arrival (or pending retry) and route it.
-        bool capped = false;
-        for (const auto &inst : instances_)
-            capped = capped || (!inst->retired &&
-                                inst->loop->stageCapped() &&
-                                !inst->loop->idle());
-        if (capped)
+        // Every live instance is idle or stage-capped. A capped
+        // instance with work still queued ends the run (engine
+        // stage-cap semantics); otherwise all are idle — march them
+        // to the next arrival (or pending retry) and route it.
+        if ((shared.empty() && retries_.empty()) || !capped_.empty())
             break;
         PicoSec t = std::numeric_limits<PicoSec>::max();
         if (!shared.empty())
@@ -904,9 +875,6 @@ FleetDriver::run()
     result_.perInstance.reserve(instances_.size());
     for (auto &inst : instances_) {
         SimResult sr = inst->loop->finish();
-        result_.metrics.tbtMs.merge(sr.metrics.tbtMs);
-        result_.metrics.t2ftMs.merge(sr.metrics.t2ftMs);
-        result_.metrics.e2eMs.merge(sr.metrics.e2eMs);
         result_.metrics.totalTokens += sr.metrics.totalTokens;
         result_.metrics.decodingOnlyStages +=
             sr.metrics.decodingOnlyStages;
@@ -916,6 +884,17 @@ FleetDriver::run()
         result_.peakBatch = std::max(result_.peakBatch, sr.peakBatch);
         result_.prefixCache.merge(sr.prefixCache);
         result_.perInstance.push_back(std::move(sr));
+    }
+    // Merge latency samples into buffers sized once: an exact-fit
+    // buffer grown instance by instance is copied on every merge.
+    using M = ServingMetrics;
+    for (auto field : {&M::tbtMs, &M::t2ftMs, &M::e2eMs}) {
+        std::size_t n = 0;
+        for (const SimResult &sr : result_.perInstance)
+            n += (sr.metrics.*field).count();
+        (result_.metrics.*field).reserve(n);
+        for (const SimResult &sr : result_.perInstance)
+            (result_.metrics.*field).merge(sr.metrics.*field);
     }
     result_.metrics.elapsed = makespan;
     // Time-based per-domain availability over the run window.
@@ -964,7 +943,9 @@ FleetUtilization::onStage(int instance, const StageObservation &obs)
 {
     InstanceStats &s = at(instance);
     ++s.stages;
-    s.busyTime += obs.result.time;
+    // The clock's advance, straggler scaling included: a stage of a
+    // 4x-degraded instance keeps it busy four times as long.
+    s.busyTime += obs.end - obs.start;
 }
 
 void

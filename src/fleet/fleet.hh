@@ -2,9 +2,7 @@
  * @file
  * Fleet-scale serving: N registry-built instances behind a router.
  *
- * PRs 1-5 evaluate a single serving instance; the ROADMAP north
- * star ("heavy traffic from millions of users") is a fleet of them
- * behind a load balancer. FleetDriver is that composition: it owns
+ * FleetDriver composes a fleet behind a load balancer: it owns
  * N independent instances — each a registry-built ServingSystem
  * with its own ContinuousBatcher, RNG stream (seed + instance id)
  * and KV budget, driven by the same DriverLoop the engine runs — and
@@ -12,13 +10,20 @@
  * request to a pluggable RoutingPolicy (fleet/policy.hh).
  *
  * Interleaving discipline (the determinism contract): a request is
- * routed once its arrival time reaches the minimum instance clock,
- * and the instance furthest behind in simulated time always steps
- * next (lowest id on ties). Routing therefore sees a reproducible
- * snapshot of instance state, every run is byte-identical, and a
- * 1-instance round-robin fleet executes the exact clock/stage
- * sequence of a bare SimulationEngine run (pinned bit-for-bit in
- * tests/fleet/test_fleet.cc).
+ * routed once its arrival time reaches the minimum clock over busy
+ * instances, and the instance furthest behind in simulated time
+ * always steps next (lowest id on ties). Routing therefore sees a
+ * reproducible snapshot of instance state, every run is
+ * byte-identical, and a 1-instance round-robin fleet executes the
+ * exact clock/stage sequence of a bare SimulationEngine run (pinned
+ * bit-for-bit in tests/fleet/test_fleet.cc). Both decisions read the
+ * busy-instance index in O(log N): up instances with work, ordered
+ * by (clock, id), stage-capped ones apart (they gate, never step).
+ * reindex(inst) keeps it true and runs after anything that changes
+ * an instance's clock or whether it is busy, down, retired or
+ * capped: a step, pushArrival, evictAll (crash), evictQueued
+ * (drain), a rejoin, a retire, a spawn. Idle instances are never
+ * indexed, so the idle march needs no re-filing.
  *
  * Autoscaling (ScaleSpec): the driver tracks the observed arrival
  * rate over a sliding window; sustained load above
@@ -54,6 +59,8 @@
 
 #include <deque>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "fleet/faults.hh"
@@ -428,6 +435,17 @@ class FleetDriver
      *  finished (per-instance fold, availability) at the end. */
     FleetResult result_;
 
+    // --- the busy-instance index (see reindex) ------------------
+    using ClockKey = std::pair<PicoSec, int>; //!< (clock, id)
+    std::set<ClockKey> steppable_; //!< busy; begin() steps next
+    std::set<ClockKey> capped_;    //!< busy and stage-capped
+
+    /** Autoscaler-drained ids not yet retired (the retire sweep). */
+    std::set<int> drained_;
+    int live_ = 0;      //!< instances not retired
+    int accepting_ = 0; //!< instances not retired and accepting
+    std::vector<InstanceStatus> statuses_; //!< routing view, reused
+
     // --- autoscaling state -------------------------------------
     std::deque<PicoSec> arrivalWindow_;
     PicoSec lastScaleTime_ = 0;
@@ -461,15 +479,14 @@ class FleetDriver
      *  faults disabled). */
     std::vector<FaultPlan> domainPlans_;
 
-    int acceptingCount() const;
-    std::vector<InstanceStatus> snapshot() const;
+    void reindex(Instance &inst);
+    void fillStatuses(PicoSec at, bool march);
     Instance &spawn(PicoSec now);
     void maybeScale(PicoSec now);
     void retireInstance(Instance &inst);
     double observedQps(PicoSec now);
     double observedUnavailability(PicoSec now) const;
 
-    bool anyRoutable() const;
     bool pumpFaults(PicoSec at);
     bool serviceFaults(Instance &inst, PicoSec horizon);
     void applyCrash(Instance &inst, const FaultEvent &event);

@@ -11,6 +11,9 @@
  *  - Autoscaling drains before retiring: a retired instance has
  *    zero in-flight requests, and every routed request retires.
  *  - Session affinity pins each session to one instance fleet-wide.
+ *  - Multi-instance interleaving (step order, routing gate, retire
+ *    sweep, stage cap) is pinned to constants.
+ *  - Utilization busy time includes straggler scaling.
  */
 
 #include <gtest/gtest.h>
@@ -432,6 +435,247 @@ TEST(Fleet, UtilizationListsInstancesThatNeverServe)
 
     ASSERT_EQ(result.perInstance.size(), 5u);
     EXPECT_EQ(util.instances().size(), result.perInstance.size());
+}
+
+/** Sums each instance's stage spans and unscaled stage times. */
+class StageSpanSum : public FleetObserver
+{
+  public:
+    void onStage(int instance, const StageObservation &obs) override
+    {
+        spans[instance] += obs.end - obs.start;
+        unscaled[instance] += obs.result.time;
+    }
+
+    std::map<int, PicoSec> spans;
+    std::map<int, PicoSec> unscaled;
+};
+
+TEST(Fleet, UtilizationBusyTimeIncludesStragglerScaling)
+{
+    // A 4x straggler window on instance 0: its stages keep it busy
+    // four times as long as the unscaled stage time says.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 8.0;
+    fc.instances = 2;
+    fc.policy = "round-robin";
+    fc.faults.events = parseFaultList("degrade@1.0:0:2.0:4");
+
+    StageSpanSum sums;
+    FleetUtilization util;
+    FleetDriver driver(fc);
+    driver.addObserver(&sums);
+    driver.addObserver(&util);
+    const FleetResult result = driver.run();
+    ASSERT_EQ(result.degradeWindows, 1);
+
+    ASSERT_EQ(util.instances().size(), 2u);
+    for (const FleetUtilization::InstanceStats &s : util.instances())
+        EXPECT_EQ(s.busyTime, sums.spans[s.id])
+            << "instance " << s.id;
+    EXPECT_GT(util.instances()[0].busyTime, sums.unscaled[0]);
+    EXPECT_EQ(util.instances()[1].busyTime, sums.unscaled[1]);
+}
+
+/** What a multi-instance fleet's interleaving decides: the pins of
+ *  Fleet.InterleavingIsPinned. */
+struct Interleaving
+{
+    std::int64_t routed = 0;
+    std::int64_t retired = 0;
+    std::vector<std::int64_t> stages; //!< per instance, id order
+    PicoSec makespan = 0;
+    std::int64_t tokens = 0;
+    double ttftP99 = 0.0;
+    double tbtP99 = 0.0;
+    std::uint64_t stageOrder = 0; //!< StageOrder digest
+
+    struct Scale
+    {
+        ScaleEvent::Kind kind;
+        PicoSec time;
+        int instance;
+    };
+    std::vector<Scale> scaleEvents;
+};
+
+/** FNV-1a digest of the (instance, stage start) sequence of every
+ *  stage callback: which instance steps next, in order. */
+class StageOrder : public FleetObserver
+{
+  public:
+    void onStage(int instance, const StageObservation &obs) override
+    {
+        for (PicoSec v : {PicoSec{instance}, obs.start})
+            digest = (digest ^ static_cast<std::uint64_t>(v)) *
+                     0x100000001b3ULL;
+    }
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+};
+
+void
+expectInterleaving(const FleetConfig &fc, const Interleaving &want)
+{
+    FleetUtilization util;
+    StageOrder order;
+    FleetDriver driver(fc);
+    driver.addObserver(&util);
+    driver.addObserver(&order);
+    const FleetResult r = driver.run();
+
+    EXPECT_EQ(r.requestsRouted, want.routed);
+    EXPECT_EQ(r.requestsRetired, want.retired);
+    ASSERT_EQ(util.instances().size(), want.stages.size());
+    for (std::size_t i = 0; i < want.stages.size(); ++i)
+        EXPECT_EQ(util.instances()[i].stages, want.stages[i])
+            << "instance " << i;
+    EXPECT_EQ(r.metrics.elapsed, want.makespan);
+    EXPECT_EQ(r.generatedTokens, want.tokens);
+    EXPECT_DOUBLE_EQ(r.metrics.t2ftMs.percentile(99), want.ttftP99);
+    EXPECT_DOUBLE_EQ(r.metrics.tbtMs.percentile(99), want.tbtP99);
+    EXPECT_EQ(order.digest, want.stageOrder);
+    ASSERT_EQ(r.scaleEvents.size(), want.scaleEvents.size());
+    for (std::size_t i = 0; i < want.scaleEvents.size(); ++i) {
+        EXPECT_EQ(r.scaleEvents[i].kind, want.scaleEvents[i].kind)
+            << "event " << i;
+        EXPECT_EQ(r.scaleEvents[i].time, want.scaleEvents[i].time)
+            << "event " << i;
+        EXPECT_EQ(r.scaleEvents[i].instance,
+                  want.scaleEvents[i].instance)
+            << "event " << i;
+    }
+}
+
+TEST(Fleet, InterleavingIsPinned)
+{
+    // The 1-instance goldens and the double-run tests only compare
+    // a build with itself once more than one instance runs. These
+    // four fleets pin the multi-instance interleaving — which
+    // instance steps next, when the busy-min gate lets an arrival
+    // route, when drained instances retire, where the stage cap
+    // ends the run — against constants.
+
+    // Closed loop: the whole stream routes at the minimum clock
+    // over every live instance, idle ones included.
+    {
+        SCOPED_TRACE("closed-loop join-shortest-queue x8");
+        FleetConfig fc;
+        fc.sim = baseSim();
+        fc.sim.numRequests = 96;
+        fc.instances = 8;
+        fc.policy = "join-shortest-queue";
+        expectInterleaving(
+            fc, {96, 96, {78, 83, 95, 95, 84, 74, 85, 91},
+                 808153808150, 6116, 14.927910978630001,
+                 12.209008291999975, 13145288289710670286ULL, {}});
+    }
+    // Autoscaled: four diurnal periods of drains and scale-ups; one
+    // drained instance is still busy and retires later.
+    {
+        SCOPED_TRACE("autoscaled least-loaded");
+        FleetConfig fc;
+        fc.sim = baseSim();
+        fc.sim.workloadName = "diurnal";
+        fc.sim.workload.diurnalLowQps = 0.5;
+        fc.sim.workload.diurnalHighQps = 40.0;
+        fc.sim.workload.diurnalPeriodSec = 8.0;
+        fc.sim.workload.meanInputLen = 128;
+        fc.sim.workload.meanOutputLen = 32;
+        fc.sim.numRequests = 600;
+        fc.sim.maxStages = 200000;
+        fc.instances = 1;
+        fc.policy = "least-loaded";
+        fc.scaling.enabled = true;
+        fc.scaling.minInstances = 1;
+        fc.scaling.maxInstances = 4;
+        fc.scaling.upQpsPerInstance = 6.0;
+        fc.scaling.downQpsPerInstance = 3.0;
+        fc.scaling.windowSec = 1.0;
+        fc.scaling.cooldownSec = 0.5;
+        using K = ScaleEvent::Kind;
+        expectInterleaving(
+            fc,
+            {600,
+             600,
+             {3731, 889, 699, 561, 2254, 689, 565, 795, 595, 310,
+              251},
+             28077186931233,
+             19154,
+             16.857981677550001,
+             9.0085201507000008,
+             12473007035484375337ULL,
+             {{K::Up, 859436331824, 1},
+              {K::Up, 1493655522226, 2},
+              {K::Up, 2091232432620, 3},
+              {K::Drain, 6864584266451, 3},
+              {K::Retire, 6864584266451, 3},
+              {K::Drain, 8311768418391, 2},
+              {K::Retire, 8311768418391, 2},
+              {K::Drain, 8812706339759, 1},
+              {K::Retire, 8888515900916, 1},
+              {K::Up, 9320562355704, 4},
+              {K::Up, 9864608234461, 5},
+              {K::Up, 10478050902248, 6},
+              {K::Drain, 15200835106072, 6},
+              {K::Retire, 15200835106072, 6},
+              {K::Drain, 16582545275929, 5},
+              {K::Retire, 16582545275929, 5},
+              {K::Up, 17327696955966, 7},
+              {K::Up, 17837233609730, 8},
+              {K::Drain, 23540800359887, 8},
+              {K::Retire, 23540800359887, 8},
+              {K::Drain, 24422107047374, 7},
+              {K::Retire, 24422107047374, 7},
+              {K::Up, 25700651843300, 9},
+              {K::Up, 26215290340232, 10}}});
+    }
+    // Stage cap: instance 0 hits it with work in flight, so it
+    // holds the busy-min gate (never stepping again) until the
+    // others go idle and the run ends with requests unrouted.
+    {
+        SCOPED_TRACE("stage-capped least-loaded x4");
+        FleetConfig fc;
+        fc.sim = baseSim();
+        fc.sim.workload.qps = 24.0;
+        fc.sim.numRequests = 160;
+        fc.sim.warmupRequests = 0;
+        fc.sim.maxStages = 400;
+        fc.instances = 4;
+        fc.policy = "least-loaded";
+        expectInterleaving(
+            fc, {75, 73, {400, 394, 394, 387}, 3260369206148, 4726,
+                 18.101765281799999, 9.5314907049999995,
+                 8009810285062940936ULL, {}});
+    }
+    // A wide open-loop fleet: 64 instances, round-robin.
+    {
+        SCOPED_TRACE("open-loop round-robin x64");
+        FleetConfig fc;
+        fc.sim = baseSim();
+        fc.sim.workload.qps = 6.0 * 64;
+        fc.sim.numRequests = 8 * 64;
+        fc.sim.warmupRequests = 0;
+        fc.instances = 64;
+        fc.policy = "round-robin";
+        expectInterleaving(
+            fc,
+            {512,
+             512,
+             {225, 244, 191, 238, 211, 234, 209, 222, 249, 203, 224,
+              232, 218, 236, 229, 248, 236, 211, 207, 197, 203, 219,
+              216, 196, 225, 207, 205, 214, 220, 234, 190, 228, 220,
+              240, 221, 219, 223, 233, 208, 244, 215, 214, 196, 241,
+              200, 226, 205, 226, 250, 218, 216, 234, 223, 246, 262,
+              222, 231, 227, 236, 231, 212, 234, 239, 221},
+             1900767940834,
+             33071,
+             17.326984692790003,
+             9.5229978719999995,
+             9440112731393856952ULL,
+             {}});
+    }
 }
 
 TEST(Fleet, ScalingRequiresOpenLoop)

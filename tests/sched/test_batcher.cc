@@ -325,7 +325,7 @@ TEST(ContinuousBatcher, KvHeadroomMatchesWalkUnderChurn)
     EXPECT_EQ(b.finished().size(), 32u);
 }
 
-TEST(ContinuousBatcher, DrainFinishedMatchesRetainedStream)
+TEST(ContinuousBatcher, DrainFinishedMatchesFinishedVector)
 {
     // Draining every stage must see the same requests, in the same
     // retirement order, as the retained finished() vector — and

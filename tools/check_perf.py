@@ -9,8 +9,9 @@ metrics are higher-is-better:
     current >= baseline * (1 - tolerance)
 
 Metrics named in the baseline's "lower_is_better" list (memory
-footprints such as driver_loop.peak_rss_mb) gate in the other
-direction:
+footprints such as driver_loop.peak_rss_mb, and bench_fleet's
+fleet.scale_cost_ratio: host cost per request at 1024 instances over
+the cost at 32) gate in the other direction:
 
     current <= baseline * (1 + tolerance)
 
@@ -70,6 +71,9 @@ def tracked_metrics(perf):
         if "requests_per_sec" in values:
             metrics[f"{section}.requests_per_sec"] = (
                 values["requests_per_sec"])
+    fleet = perf.get("fleet", {})
+    if "scale_cost_ratio" in fleet:
+        metrics["fleet.scale_cost_ratio"] = fleet["scale_cost_ratio"]
     cache = perf.get("prefix_cache", {})
     if "ops_per_sec" in cache:
         metrics["prefix_cache.ops_per_sec"] = cache["ops_per_sec"]
