@@ -8,7 +8,9 @@
  *  - cost model: the O(1) closed-form attention costs against the
  *    retained per-context reference loops (batch 256);
  *  - stage execution: stages/sec of Cluster::executeStage on a
- *    representative decode and mixed stage;
+ *    representative decode and mixed stage, and on a batch-16
+ *    decode stage on the GPU (the perfbench fleet-wide instance
+ *    shape, where per-layer MoE pricing shows);
  *  - figure sweeps: wall-clock of the Fig. 11 throughput sweep
  *    (the paper's headline figure, 135 simulations) and the
  *    Fig. 12 GLaM latency sweep through the SweepRunner, with
@@ -91,13 +93,13 @@ probeCostModel()
 
 /** Stages/sec of one system on a fixed stage shape. */
 double
-probeStageExec(const std::string &system, const StageShape &stage)
+probeStageExec(const std::string &system, const StageShape &stage,
+               int iters = 300)
 {
     const std::unique_ptr<ServingSystem> sys =
         makeSystem(system, mixtralConfig());
     // Warm up once (device LUT construction etc.).
     sys->executeStage(stage);
-    const int iters = 300;
     const auto t0 = Clock::now();
     PicoSec sink = 0;
     for (int i = 0; i < iters; ++i)
@@ -236,6 +238,10 @@ main()
         decode_stage.decodeContexts.push_back(2048);
     StageShape mixed_stage = decode_stage;
     mixed_stage.prefillLengths.push_back(2048);
+    // Perfbench fleet-wide's instance: batch 16, Lin 256 / Lout 64.
+    StageShape decode16_stage;
+    for (int i = 0; i < 16; ++i)
+        decode16_stage.decodeContexts.push_back(288);
 
     struct StageProbe
     {
@@ -245,6 +251,7 @@ main()
     const StageProbe stage_probes[] = {
         {"gpu_decode64", probeStageExec("gpu", decode_stage)},
         {"gpu_mixed64", probeStageExec("gpu", mixed_stage)},
+        {"gpu_decode16", probeStageExec("gpu", decode16_stage, 3000)},
         {"duplex_decode64",
          probeStageExec("duplex-pe-et", decode_stage)},
         {"duplex_mixed64",

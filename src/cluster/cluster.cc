@@ -40,10 +40,23 @@ Cluster::Cluster(const ClusterConfig &config)
                 config.zipfS),
       rng_(config.seed)
 {
-    if (cfg_.model.numExperts > 0)
-        expertCost_ = costs_.expertFfnAffine();
-    if (cfg_.deviceSpec.hasLowEngine && cfg_.model.numExperts > 0) {
-        const double shard = plan_.expertShardFraction();
+    const ModelConfig &m = cfg_.model;
+    const int moe_layers = m.numMoeLayers();
+    hasDense_ = m.numLayers > moe_layers;
+    hasMoe_ = moe_layers > 0;
+    if (m.numExperts == 0)
+        return;
+
+    // Group the experts the way the plan places them.
+    if (plan_.experts == ExpertPlacement::ExpertParallel)
+        moeGroupSize_ = std::max(1, plan_.expertsPerDevice);
+    else
+        moeGroupSize_ = m.numExperts / plan_.expertEpNodes;
+    moeGroupShards_ = static_cast<double>(plan_.expertTpDegree);
+
+    const double shard = plan_.expertShardFraction();
+    device_->setExpertCost(costs_.expertFfnAffine(), shard);
+    if (cfg_.deviceSpec.hasLowEngine) {
         lut_ = std::make_unique<ExpertTimeLut>(
             cfg_.deviceSpec.xpu, cfg_.deviceSpec.low,
             costs_.expertFfn(1).scaled(shard),
@@ -129,35 +142,10 @@ Cluster::runMoeLayer(std::int64_t global_tokens,
     for (int e = 0; e < m.numExperts; ++e)
         out.expertTokens[e] += hist[e];
 
-    // Group the experts the way the plan places them.
-    int num_groups = 0;
-    int experts_per_group = 0;
-    double shard = plan_.expertShardFraction();
-    int shards_per_group = plan_.expertTpDegree;
-    if (plan_.experts == ExpertPlacement::ExpertParallel) {
-        experts_per_group = std::max(1, plan_.expertsPerDevice);
-        num_groups = m.numExperts / experts_per_group;
-    } else {
-        num_groups = plan_.expertEpNodes;
-        experts_per_group = m.numExperts / num_groups;
-    }
-
-    // One device call for the whole layer: equivalent to runMoe
-    // per expert group, but the device shares its per-token-count
-    // memo across groups.
-    std::vector<ExpertWork> &work = moeWorkScratch_;
-    work.clear();
-    work.reserve(static_cast<std::size_t>(num_groups) *
-                 experts_per_group);
-    for (int e = 0; e < num_groups * experts_per_group; ++e) {
-        ExpertWork w;
-        w.tokens = hist[e];
-        w.cost = expertCost_.at(hist[e]).scaled(shard);
-        work.push_back(w);
-    }
+    // One device call for the whole layer, priced straight from
+    // the histogram.
     const DeviceTiming moe = device_->runMoeGroups(
-        work, experts_per_group,
-        static_cast<double>(shards_per_group));
+        hist, moeGroupSize_, moeGroupShards_);
 
     out.time += gate_t.time + moe.time;
     auto &slice = out.slice(LayerClass::Moe);
@@ -249,15 +237,13 @@ Cluster::executeStage(const StageShape &stage)
     const PicoSec all_reduce = allReduceTime(
         reduce_bytes, plan_.tpDegree, cfg_.topo.intraNode);
 
-    const bool has_dense = m.numLayers > m.numMoeLayers();
-    const bool has_moe = m.numMoeLayers() > 0;
     DeviceTiming ffn_t;
-    if (has_dense)
+    if (hasDense_)
         ffn_t = device_->runHighOpb(
             costs_.denseFfn(node_tokens).scaled(tp_shard));
     DeviceTiming gate_t;
     PicoSec moe_comm = 0;
-    if (has_moe) {
+    if (hasMoe_) {
         // Gate runs on every device over the node's tokens (DP
         // ceiling split, as the seed modeled it).
         const std::int64_t moe_node_tokens =
@@ -317,8 +303,14 @@ HeteroCluster::HeteroCluster(const HeteroConfig &config)
 {
     fatalIf(!cfg_.pimSpec.hasLowEngine,
             "HeteroCluster: PIM devices need a low engine");
+    const int moe_layers = cfg_.model.numMoeLayers();
+    hasDense_ = cfg_.model.numLayers > moe_layers;
+    hasMoe_ = moe_layers > 0;
     if (cfg_.model.numExperts > 0)
-        expertCost_ = costs_.expertFfnAffine();
+        pimPrice_ = ExpertPriceTable(
+            cfg_.pimSpec.low, cfg_.pimSpec.lowPath,
+            cfg_.pimSpec.lowCls, energy_, costs_.expertFfnAffine(),
+            1.0);
 }
 
 KvBudget
@@ -391,12 +383,11 @@ HeteroCluster::executeStage(const StageShape &stage)
         time_gpu(costs_.attentionPrefill(agg));
     const DeviceTiming proj_t = time_gpu(costs_.projection(tokens));
     const DeviceTiming elem_t = time_gpu(costs_.elementwise(tokens));
-    const bool has_dense = m.numLayers > m.numMoeLayers();
     DeviceTiming ffn_t;
-    if (has_dense)
+    if (hasDense_)
         ffn_t = time_gpu(costs_.denseFfn(tokens));
     DeviceTiming gate_t;
-    if (m.numMoeLayers() > 0)
+    if (hasMoe_)
         gate_t = time_gpu(costs_.gate(tokens));
     const PicoSec attn_comm = 2 * p2pTime(activation_bytes, cfg_.link);
 
@@ -430,13 +421,9 @@ HeteroCluster::executeStage(const StageShape &stage)
                     out.expertTokens[e] += hist[e];
                     if (hist[e] == 0)
                         continue;
-                    const OpCost c = expertCost_.at(hist[e]);
-                    dev_time += operatorTimeNoOverhead(
-                        cfg_.pimSpec.low, c.flops, c.bytes);
-                    moe_energy.dramJ += energy_.dramEnergyJ(
-                        cfg_.pimSpec.lowPath, c.bytes);
-                    moe_energy.computeJ += energy_.computeEnergyJ(
-                        cfg_.pimSpec.lowCls, c.flops);
+                    const DeviceTiming t = pimPrice_.at(hist[e]);
+                    dev_time += t.time;
+                    moe_energy += t.energy;
                 }
                 worst = std::max(worst, dev_time);
             }

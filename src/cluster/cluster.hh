@@ -124,14 +124,17 @@ class Cluster
     /** Reused across stages: multi-node share of the stage. */
     StageShape nodeShareScratch_;
 
-    /** Reused across MoE layers: per-group expert work. */
-    std::vector<ExpertWork> moeWorkScratch_;
-
     /** Reused across MoE layers: per-expert token histogram. */
     std::vector<std::int64_t> histScratch_;
 
-    /** Exact affine expert-FFN cost (avoids re-deriving GEMMs). */
-    AffineOpCost expertCost_;
+    bool hasDense_ = false; //!< some layer is a dense FFN
+    bool hasMoe_ = false;   //!< some layer is an MoE layer
+
+    /** Experts per placement group (device or ET shard). */
+    int moeGroupSize_ = 1;
+
+    /** Devices sharing each group's work (ET slices). */
+    double moeGroupShards_ = 1.0;
 
     /**
      * Sequences this node serves under data parallelism. Borrows
@@ -189,8 +192,11 @@ class HeteroCluster
     /** Reused across MoE layers: per-expert token histogram. */
     std::vector<std::int64_t> histScratch_;
 
-    /** Exact affine expert-FFN cost (avoids re-deriving GEMMs). */
-    AffineOpCost expertCost_;
+    bool hasDense_ = false; //!< some layer is a dense FFN
+    bool hasMoe_ = false;   //!< some layer is an MoE layer
+
+    /** Unsharded expert-FFN price on the PIM devices' engine. */
+    ExpertPriceTable pimPrice_;
 };
 
 } // namespace duplex

@@ -27,27 +27,13 @@ partitionExpertsInto(const std::vector<ExpertWork> &experts,
                      std::vector<PicoSec> &prefix_scratch,
                      std::vector<PicoSec> &suffix_scratch)
 {
-    partitionExpertsRange(experts.data(),
-                          experts.data() + experts.size(), lut, xpu,
-                          low, part, prefix_scratch,
-                          suffix_scratch);
-}
-
-void
-partitionExpertsRange(const ExpertWork *begin, const ExpertWork *end,
-                      const ExpertTimeLut &lut, const EngineSpec &xpu,
-                      const EngineSpec &low, ExpertPartition &part,
-                      std::vector<PicoSec> &prefix_scratch,
-                      std::vector<PicoSec> &suffix_scratch)
-{
     part.sorted.clear();
     part.numOnLow = 0;
     part.lowTime = 0;
     part.xpuTime = 0;
-    part.sorted.reserve(static_cast<std::size_t>(end - begin));
-    for (const ExpertWork *e = begin; e != end; ++e)
-        if (e->tokens > 0)
-            part.sorted.push_back(*e);
+    for (const ExpertWork &e : experts)
+        if (e.tokens > 0)
+            part.sorted.push_back(e);
 
     const int n = static_cast<int>(part.sorted.size());
     if (n == 0)

@@ -67,16 +67,6 @@ void partitionExpertsInto(const std::vector<ExpertWork> &experts,
                           std::vector<PicoSec> &prefix_scratch,
                           std::vector<PicoSec> &suffix_scratch);
 
-/** Range form of partitionExpertsInto (one expert-parallel group). */
-void partitionExpertsRange(const ExpertWork *begin,
-                           const ExpertWork *end,
-                           const ExpertTimeLut &lut,
-                           const EngineSpec &xpu,
-                           const EngineSpec &low,
-                           ExpertPartition &part,
-                           std::vector<PicoSec> &prefix_scratch,
-                           std::vector<PicoSec> &suffix_scratch);
-
 /**
  * Attention co-processing composition: both groups run concurrently,
  * so the layer takes the slower of the two.

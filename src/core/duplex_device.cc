@@ -183,123 +183,75 @@ HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
     return total;
 }
 
+void
+HybridDevice::setExpertCost(const AffineOpCost &cost, double shard)
+{
+    xpuPrice_ = ExpertPriceTable(spec_.xpu, spec_.xpuPath,
+                                 spec_.xpuCls, energy_, cost, shard);
+    lowPrice_ = ExpertPriceTable(spec_.low, spec_.lowPath,
+                                 spec_.lowCls, energy_, cost, shard);
+}
+
 DeviceTiming
-HybridDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
+HybridDevice::runMoeGroups(const std::vector<std::int64_t> &tokens,
                            int group_size, double energy_scale)
 {
     // Same composition as runMoe per contiguous group (makespan
-    // over groups, per-group energy scaling, engine selection per
-    // group); one call per layer shares the per-token-count memo
-    // across every group.
-    const int num_groups =
-        static_cast<int>(experts.size()) / group_size;
+    // over groups, per-group energy scaling, engine selection or
+    // co-processing per group), with every expert priced from the
+    // two tables and the sums taken in the same order.
+    panicIf(!xpuPrice_.built(), "runMoeGroups: no expert cost set");
     DeviceTiming total;
-
-    if (spec_.coProcessing && lut_ != nullptr) {
-        for (int g = 0; g < num_groups; ++g) {
-            const ExpertWork *begin = experts.data() + g * group_size;
-            bool group_active = false;
-            for (int i = 0; i < group_size; ++i) {
-                if (begin[i].tokens > 0) {
-                    group_active = true;
-                    break;
-                }
-            }
-            if (!group_active) {
+    const std::size_t size = group_size;
+    for (std::size_t g = 0; g + size <= tokens.size(); g += size) {
+        DeviceTiming group;
+        if (spec_.coProcessing && lut_ != nullptr) {
+            workScratch_.clear();
+            for (std::size_t i = g; i < g + size; ++i)
+                if (tokens[i] > 0)
+                    workScratch_.push_back(
+                        {tokens[i], xpuPrice_.cost(tokens[i])});
+            if (workScratch_.empty()) {
                 lastExpertsOnLow_ = 0;
                 continue;
             }
-            partitionExpertsRange(begin, begin + group_size, *lut_,
-                                  spec_.xpu, spec_.low, partScratch_,
-                                  prefixScratch_, suffixScratch_);
+            partitionExpertsInto(workScratch_, *lut_, spec_.xpu,
+                                 spec_.low, partScratch_,
+                                 prefixScratch_, suffixScratch_);
             const ExpertPartition &part = partScratch_;
             lastExpertsOnLow_ = part.numOnLow;
-            DeviceTiming group;
             group.time = part.makespan();
             for (int i = 0;
                  i < static_cast<int>(part.sorted.size()); ++i) {
-                const auto &e = part.sorted[i];
-                if (i < part.numOnLow) {
-                    group.energy.dramJ += energy_.dramEnergyJ(
-                        spec_.lowPath, e.cost.bytes);
-                    group.energy.computeJ += energy_.computeEnergyJ(
-                        spec_.lowCls, e.cost.flops);
-                } else {
-                    group.energy.dramJ += energy_.dramEnergyJ(
-                        spec_.xpuPath, e.cost.bytes);
-                    group.energy.computeJ += energy_.computeEnergyJ(
-                        spec_.xpuCls, e.cost.flops);
-                }
+                const std::int64_t n = part.sorted[i].tokens;
+                group.energy += i < part.numOnLow
+                                    ? lowPrice_.at(n).energy
+                                    : xpuPrice_.at(n).energy;
             }
-            total.time = std::max(total.time, group.time);
-            total.energy.dramJ += group.energy.dramJ * energy_scale;
-            total.energy.computeJ +=
-                group.energy.computeJ * energy_scale;
-        }
-        return total;
-    }
-
-    // Direct-mapped per-token-count cache: decode stages repeat
-    // small counts heavily; a collision just recomputes. The sums
-    // see the same values in the same order as the uncached path.
-    struct Memo
-    {
-        std::int64_t tokens = -1;
-        PicoSec xpu;
-        PicoSec low;
-        EnergyBreakdown xpuE;
-        EnergyBreakdown lowE;
-    };
-    Memo memo[64];
-    auto lookup = [&](const ExpertWork &e) -> const Memo & {
-        Memo &m = memo[e.tokens & 63];
-        if (m.tokens != e.tokens) {
-            m.tokens = e.tokens;
-            m.xpu = operatorTimeNoOverhead(spec_.xpu, e.cost.flops,
-                                           e.cost.bytes);
-            m.low = operatorTimeNoOverhead(spec_.low, e.cost.flops,
-                                           e.cost.bytes);
-            m.xpuE = {energy_.dramEnergyJ(spec_.xpuPath,
-                                          e.cost.bytes),
-                      energy_.computeEnergyJ(spec_.xpuCls,
-                                             e.cost.flops)};
-            m.lowE = {energy_.dramEnergyJ(spec_.lowPath,
-                                          e.cost.bytes),
-                      energy_.computeEnergyJ(spec_.lowCls,
-                                             e.cost.flops)};
-        }
-        return m;
-    };
-
-    for (int g = 0; g < num_groups; ++g) {
-        lastExpertsOnLow_ = 0;
-        int num_active = 0;
-        PicoSec t_xpu = spec_.xpu.dispatchOverhead;
-        PicoSec t_low = spec_.low.dispatchOverhead;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
+        } else {
+            lastExpertsOnLow_ = 0;
+            int num_active = 0;
+            PicoSec t_xpu = spec_.xpu.dispatchOverhead;
+            PicoSec t_low = spec_.low.dispatchOverhead;
+            for (std::size_t i = g; i < g + size; ++i) {
+                if (tokens[i] == 0)
+                    continue;
+                ++num_active;
+                t_xpu += xpuPrice_.at(tokens[i]).time;
+                t_low += lowPrice_.at(tokens[i]).time;
+            }
+            if (num_active == 0)
                 continue;
-            ++num_active;
-            const Memo &m = lookup(e);
-            t_xpu += m.xpu;
-            t_low += m.low;
-        }
-        if (num_active == 0)
-            continue;
-        const bool use_low = t_low < t_xpu;
-        if (use_low)
-            lastExpertsOnLow_ = num_active;
-        DeviceTiming group;
-        group.time = use_low ? t_low : t_xpu;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
-                continue;
-            const Memo &m = lookup(e);
-            group.energy += use_low ? m.lowE : m.xpuE;
+            // Engine selection for the whole group by total time.
+            const bool use_low = t_low < t_xpu;
+            if (use_low)
+                lastExpertsOnLow_ = num_active;
+            const ExpertPriceTable &price =
+                use_low ? lowPrice_ : xpuPrice_;
+            group.time = use_low ? t_low : t_xpu;
+            for (std::size_t i = g; i < g + size; ++i)
+                if (tokens[i] > 0)
+                    group.energy += price.at(tokens[i]).energy;
         }
         total.time = std::max(total.time, group.time);
         total.energy.dramJ += group.energy.dramJ * energy_scale;

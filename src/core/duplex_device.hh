@@ -53,8 +53,10 @@ class HybridDevice : public Device
                                  const OpCost &prefill) override;
     DeviceTiming
     runMoe(const std::vector<ExpertWork> &experts) override;
+    void setExpertCost(const AffineOpCost &cost,
+                       double shard) override;
     DeviceTiming
-    runMoeGroups(const std::vector<ExpertWork> &experts,
+    runMoeGroups(const std::vector<std::int64_t> &tokens,
                  int group_size, double energy_scale) override;
 
     void setExpertLut(const ExpertTimeLut *lut) override
@@ -70,8 +72,11 @@ class HybridDevice : public Device
     EnergyModel energy_;
     const ExpertTimeLut *lut_ = nullptr;
     int lastExpertsOnLow_ = 0;
+    ExpertPriceTable xpuPrice_;
+    ExpertPriceTable lowPrice_;
 
-    // Reused across runMoe calls (one per MoE layer per stage).
+    // Reused across MoE layers (one call per layer per stage).
+    std::vector<ExpertWork> workScratch_;
     ExpertPartition partScratch_;
     std::vector<PicoSec> prefixScratch_;
     std::vector<PicoSec> suffixScratch_;

@@ -1,30 +1,29 @@
 #include "device/device.hh"
 
-#include <algorithm>
-
 namespace duplex
 {
 
-DeviceTiming
-Device::runMoeGroups(const std::vector<ExpertWork> &experts,
-                     int group_size, double energy_scale)
+ExpertPriceTable::ExpertPriceTable(const EngineSpec &engine,
+                                   DramPath path, ComputeClass cls,
+                                   const EnergyModel &energy,
+                                   const AffineOpCost &cost,
+                                   double shard)
+    : engine_(engine), path_(path), cls_(cls), energy_(energy),
+      cost_(cost), shard_(shard), built_(true)
 {
-    // Reference composition: per group, runMoe; the layer's clock
-    // contribution is the slowest group while energies sum.
-    DeviceTiming total;
-    std::vector<ExpertWork> group;
-    group.reserve(group_size);
-    const int num_groups =
-        static_cast<int>(experts.size()) / group_size;
-    for (int g = 0; g < num_groups; ++g) {
-        group.assign(experts.begin() + g * group_size,
-                     experts.begin() + (g + 1) * group_size);
-        const DeviceTiming t = runMoe(group);
-        total.time = std::max(total.time, t.time);
-        total.energy.dramJ += t.energy.dramJ * energy_scale;
-        total.energy.computeJ += t.energy.computeJ * energy_scale;
-    }
-    return total;
+    for (std::int64_t n = 0; n < kCap; ++n)
+        table_[n] = price(n);
+}
+
+DeviceTiming
+ExpertPriceTable::price(std::int64_t tokens) const
+{
+    const OpCost c = cost(tokens);
+    DeviceTiming t;
+    t.time = operatorTimeNoOverhead(engine_, c.flops, c.bytes);
+    t.energy.dramJ = energy_.dramEnergyJ(path_, c.bytes);
+    t.energy.computeJ = energy_.computeEnergyJ(cls_, c.flops);
+    return t;
 }
 
 DeviceTiming

@@ -11,6 +11,7 @@
 #ifndef DUPLEX_DEVICE_DEVICE_HH
 #define DUPLEX_DEVICE_DEVICE_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +73,54 @@ struct ExpertWork
 };
 
 /**
+ * One engine's price of one expert FFN shard by token count: the
+ * time without dispatch overhead and the energy of
+ * cost.at(tokens).scaled(shard) on that engine. A device builds one
+ * per engine when the expert cost is installed. Counts below kCap,
+ * the small counts decode stages repeat layer after layer, are
+ * priced then, into an inline array (no heap, 1.5 KB); larger
+ * (prefill) counts are priced on each call by the same function,
+ * so each count has exactly one value however it is read.
+ */
+class ExpertPriceTable
+{
+  public:
+    static constexpr std::int64_t kCap = 64;
+
+    ExpertPriceTable() = default;
+    ExpertPriceTable(const EngineSpec &engine, DramPath path,
+                     ComputeClass cls, const EnergyModel &energy,
+                     const AffineOpCost &cost, double shard);
+
+    /** False until built from an expert cost. */
+    bool built() const { return built_; }
+
+    /** One expert's per-device shard cost at @p tokens. */
+    OpCost cost(std::int64_t tokens) const
+    {
+        return cost_.at(tokens).scaled(shard_);
+    }
+
+    /** Time (no dispatch overhead) and energy at @p tokens. */
+    DeviceTiming at(std::int64_t tokens) const
+    {
+        return tokens < kCap ? table_[tokens] : price(tokens);
+    }
+
+  private:
+    EngineSpec engine_;
+    DramPath path_ = DramPath::XpuInterposer;
+    ComputeClass cls_ = ComputeClass::Xpu;
+    EnergyModel energy_;
+    AffineOpCost cost_;
+    double shard_ = 1.0;
+    bool built_ = false;
+    std::array<DeviceTiming, kCap> table_{};
+
+    DeviceTiming price(std::int64_t tokens) const;
+};
+
+/**
  * Attention-layer timing with the decode/prefill split preserved;
  * composed is the wall-clock contribution (max of both halves when
  * co-processed, their sum otherwise).
@@ -105,23 +154,34 @@ class Device
 
     /**
      * MoE layer: per-expert work. Experts with zero tokens are not
-     * touched (their weights are never read).
+     * touched (their weights are never read). The reference for
+     * runMoeGroups.
      */
     virtual DeviceTiming runMoe(const std::vector<ExpertWork> &experts)
         = 0;
 
     /**
-     * Whole MoE layer over contiguous groups of @p group_size
-     * experts (one group per expert-parallel device / ET shard).
-     * Equivalent to calling runMoe per group and combining: time is
-     * the makespan (max group time) and each group's energy is
-     * scaled by @p energy_scale before summing. One call per layer
-     * lets devices share per-token-count memoization across groups;
-     * the default implementation just loops runMoe.
+     * Install the expert FFN cost: expert work at n tokens is
+     * cost.at(n).scaled(shard) on each device. The device builds
+     * its per-engine ExpertPriceTables from it, once; runMoeGroups
+     * prices from them.
+     */
+    virtual void setExpertCost(const AffineOpCost &cost,
+                               double shard) = 0;
+
+    /**
+     * Whole MoE layer from its expert histogram: @p tokens[e]
+     * tokens on expert e, experts in contiguous groups of
+     * @p group_size (one group per expert-parallel device / ET
+     * shard). Bit-identical to runMoe per group over
+     * ExpertWork{tokens[e], cost.at(tokens[e]).scaled(shard)},
+     * combined as the layer's makespan (max group time) and the sum
+     * of each group's energy scaled by @p energy_scale. Needs
+     * setExpertCost first.
      */
     virtual DeviceTiming
-    runMoeGroups(const std::vector<ExpertWork> &experts,
-                 int group_size, double energy_scale);
+    runMoeGroups(const std::vector<std::int64_t> &tokens,
+                 int group_size, double energy_scale) = 0;
 
     /** Install the expert-time lookup table (hybrid devices). */
     virtual void setExpertLut(const ExpertTimeLut *lut) { (void)lut; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
+
 namespace duplex
 {
 
@@ -79,45 +81,31 @@ GpuDevice::runMoe(const std::vector<ExpertWork> &experts)
     return total;
 }
 
+void
+GpuDevice::setExpertCost(const AffineOpCost &cost, double shard)
+{
+    xpuPrice_ = ExpertPriceTable(spec_.xpu, spec_.xpuPath,
+                                 spec_.xpuCls, energy_, cost, shard);
+}
+
 DeviceTiming
-GpuDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
+GpuDevice::runMoeGroups(const std::vector<std::int64_t> &tokens,
                         int group_size, double energy_scale)
 {
-    // Same composition as the base implementation (runMoe per
-    // contiguous group, makespan over groups, per-group energy
-    // scaling), with a direct-mapped per-token-count cache shared
-    // across the layer: decode stages repeat small counts heavily,
-    // while a collision just recomputes — O(1) either way, and the
-    // accumulation sees the same values in the same order.
-    struct Memo
-    {
-        std::int64_t tokens = -1;
-        DeviceTiming t;
-    };
-    Memo memo[64];
+    // runMoe per contiguous group, makespan over groups, per-group
+    // energy scaling — each expert priced from the table, and the
+    // sums taken in the same expert order.
+    panicIf(!xpuPrice_.built(), "runMoeGroups: no expert cost set");
     DeviceTiming total;
-    const int num_groups =
-        static_cast<int>(experts.size()) / group_size;
-    for (int g = 0; g < num_groups; ++g) {
+    const std::size_t size = group_size;
+    for (std::size_t g = 0; g + size <= tokens.size(); g += size) {
         DeviceTiming group;
         bool any = false;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
+        for (std::size_t i = g; i < g + size; ++i) {
+            if (tokens[i] == 0)
                 continue;
             any = true;
-            Memo &m = memo[e.tokens & 63];
-            if (m.tokens != e.tokens) {
-                m.tokens = e.tokens;
-                m.t.time = operatorTimeNoOverhead(
-                    spec_.xpu, e.cost.flops, e.cost.bytes);
-                m.t.energy.dramJ =
-                    energy_.dramEnergyJ(spec_.xpuPath, e.cost.bytes);
-                m.t.energy.computeJ = energy_.computeEnergyJ(
-                    spec_.xpuCls, e.cost.flops);
-            }
-            group += m.t;
+            group += xpuPrice_.at(tokens[i]);
         }
         if (any)
             group.time += spec_.xpu.dispatchOverhead;

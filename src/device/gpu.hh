@@ -37,13 +37,16 @@ class GpuDevice : public Device
                                  const OpCost &prefill) override;
     DeviceTiming
     runMoe(const std::vector<ExpertWork> &experts) override;
+    void setExpertCost(const AffineOpCost &cost,
+                       double shard) override;
     DeviceTiming
-    runMoeGroups(const std::vector<ExpertWork> &experts,
+    runMoeGroups(const std::vector<std::int64_t> &tokens,
                  int group_size, double energy_scale) override;
 
   private:
     HybridDeviceSpec spec_;
     EnergyModel energy_;
+    ExpertPriceTable xpuPrice_;
 };
 
 } // namespace duplex

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../device/moe_reference.hh"
 #include "core/duplex_device.hh"
 #include "workload/experts.hh"
 
@@ -177,6 +178,47 @@ TEST_F(DuplexDeviceTest, EnergyUsesLowPathWhenOnLow)
     const double gpu_j = gpu.runMoe(experts).energy.dramJ;
     // Logic-PIM skips the interposer: visibly lower DRAM energy.
     EXPECT_LT(dup_j, 0.8 * gpu_j);
+}
+
+TEST(HybridMoeGroups, HistogramPricingMatchesRunMoeComposition)
+{
+    // duplex: engine selection per group; duplex-pe: expert
+    // co-processing; duplex-pe-et and bank-pim: expert-tensor-
+    // parallel groups (co-processed, energy scaled per slice).
+    // Checked on the freshly built tables, then again warm.
+    for (const char *system :
+         {"duplex", "duplex-pe", "duplex-pe-et", "bank-pim"}) {
+        for (const ModelConfig &model :
+             {mixtralConfig(), glamConfig()}) {
+            const test::MoePlacement p =
+                test::moePlacement(system, model);
+            const ExpertTimeLut lut(p.spec.xpu, p.spec.low, p.lutOne,
+                                    p.lutTwo);
+            HybridDevice dev(p.spec);
+            HybridDevice ref(p.spec);
+            dev.setExpertLut(&lut);
+            ref.setExpertLut(&lut);
+            dev.setExpertCost(p.cost, p.shard);
+            const auto hists =
+                test::moeHistograms(model.numExperts, 17, 40);
+            for (int pass = 0; pass < 2; ++pass) {
+                for (const auto &hist : hists) {
+                    const DeviceTiming got = dev.runMoeGroups(
+                        hist, p.groupSize, p.energyScale);
+                    const DeviceTiming want =
+                        test::referenceMoeGroups(ref, hist, p);
+                    SCOPED_TRACE(std::string(system) + " " +
+                                 model.name);
+                    EXPECT_EQ(got.time, want.time);
+                    EXPECT_EQ(got.energy.dramJ, want.energy.dramJ);
+                    EXPECT_EQ(got.energy.computeJ,
+                              want.energy.computeJ);
+                    EXPECT_EQ(dev.lastExpertsOnLow(),
+                              ref.lastExpertsOnLow());
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "device/gpu.hh"
+#include "moe_reference.hh"
 
 namespace duplex
 {
@@ -96,6 +97,31 @@ TEST_F(GpuTest, MemoryBoundOperatorTracksBandwidth)
     const double expect_sec =
         static_cast<double>(bytes) / spec.xpu.memBps;
     EXPECT_NEAR(psToSec(t.time), expect_sec, expect_sec * 0.01);
+}
+
+TEST(GpuMoeGroups, HistogramPricingMatchesRunMoeComposition)
+{
+    // Every value from the price table must equal runMoe's over the
+    // same ExpertWork, bit for bit: on the first pass (freshly built
+    // table) and again on the second.
+    for (const ModelConfig &model : {mixtralConfig(), glamConfig()}) {
+        const test::MoePlacement p = test::moePlacement("gpu", model);
+        GpuDevice dev(p.spec);
+        GpuDevice ref(p.spec);
+        dev.setExpertCost(p.cost, p.shard);
+        const auto hists = test::moeHistograms(model.numExperts, 11, 40);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const auto &hist : hists) {
+                const DeviceTiming got =
+                    dev.runMoeGroups(hist, p.groupSize, p.energyScale);
+                const DeviceTiming want =
+                    test::referenceMoeGroups(ref, hist, p);
+                EXPECT_EQ(got.time, want.time) << model.name;
+                EXPECT_EQ(got.energy.dramJ, want.energy.dramJ);
+                EXPECT_EQ(got.energy.computeJ, want.energy.computeJ);
+            }
+        }
+    }
 }
 
 } // namespace

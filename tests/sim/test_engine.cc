@@ -1,12 +1,17 @@
 /**
  * @file
  * SimulationEngine tests: observer callback ordering and counts,
- * the shipped drop-in observers, and a golden test pinning the
+ * the shipped drop-in observers, a golden test pinning the
  * engine's SimResult to the values the seed simulator produced on
- * the Mixtral preset (gpu and duplex systems).
+ * the Mixtral preset (gpu and duplex systems), and an exact
+ * time-and-energy golden for every registered system.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "sim/engine.hh"
 #include "sim/observers.hh"
@@ -129,6 +134,129 @@ TEST(Engine, GoldenDuplexMatchesSeedRunSimulation)
                 1e-6 * 551.21667480047654);
     EXPECT_NEAR(r.metrics.tbtMs.percentile(50), 3.361203755,
                 1e-6);
+}
+
+/**
+ * totals.time and every byClass slice's time and energy of
+ * goldenConfig on one system, pinned exactly (hexfloats). A
+ * reordered or re-derived energy sum changes the last bits, which
+ * the 1e-6 tolerances above would let through.
+ */
+struct ExactGolden
+{
+    const char *system;
+    PicoSec time;
+    std::array<ClassSlice, kNumLayerClasses> byClass;
+};
+
+const ExactGolden kExactGoldens[] = {
+    {"bank-pim",
+     696967013358LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2527169664LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {9727144224LL, 0x1.b27c5f4ac7985p+0, 0x1.ce3e31cacd52ep-2},
+       {437071871319LL, 0x1.521c3367af02p+8, 0x1.67fd0ab9a457fp+7},
+       {136028178624LL, 0x0p+0, 0x0p+0}}}},
+    {"bankgroup-pim",
+     808862995759LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2527169664LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {10738779360LL, 0x1.d860855eb24d4p+0, 0x1.8541d91691f5p-2},
+       {548074937944LL, 0x1.7f0a54f35b667p+8, 0x1.63dce6edb3c26p+7},
+       {136028178624LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex",
+     974063212666LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2356097568LL, 0x1.041db79b6e5ap-2, 0x1.541f65e3fafabp-2},
+       {10738779360LL, 0x1.121468c343dc5p+1, 0x1.107ae4c2ffc4fp-3},
+       {718985080355LL, 0x1.798cd523c5409p+8, 0x1.07c76a7020883p+7},
+       {129283209472LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-pe",
+     960895683771LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2527169664LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {10738779360LL, 0x1.121468c343dc5p+1, 0x1.107ae4c2ffc4fp-3},
+       {706852595108LL, 0x1.72d61ebcdb8dp+8, 0x1.004beb02b601bp+7},
+       {129283209472LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-pe-et",
+     808862995759LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2527169664LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {10738779360LL, 0x1.121468c343dc5p+1, 0x1.107ae4c2ffc4fp-3},
+       {548074937944LL, 0x1.a0fc75b241707p+8, 0x1.feb9ccef13fd3p+6},
+       {136028178624LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-split",
+     1301057392142LL,
+     {{{190517002787LL, 0x1.6c6e0b2945e72p+4, 0x1.0eb16af7c6d2dp+4},
+       {2366339264LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d699p-2},
+       {13861558656LL, 0x1.121468c343dc2p+1, 0x1.107ae4c2ffc55p-3},
+       {1034270236363LL, 0x1.afdf3efea81e5p+8, 0x1.043f2752dbafcp+7},
+       {60042255072LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-split-2p6d",
+     813127194123LL,
+     {{{116590693397LL, 0x1.7780c5754a5cdp+4, 0x1.0eb16af7c6d25p+4},
+       {2366339264LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d699p-2},
+       {9868519040LL, 0x1.121466902ee4dp+1, 0x1.107ae4c2ffc51p-3},
+       {489486059286LL, 0x1.b7a7b717c1ccep+8, 0x1.04390c5afd7c4p+7},
+       {194815583136LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-split-6p2d",
+     1182416899867LL,
+     {{{174479934901LL, 0x1.7095117d56a06p+4, 0x1.0eb16af7c6d21p+4},
+       {1300779744LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d69ap-2},
+       {13957558560LL, 0x1.121468c343dc2p+1, 0x1.107ae4c2ffc52p-3},
+       {911394344742LL, 0x1.ada9a3ae57bbp+8, 0x1.0440b0d641ee3p+7},
+       {81284281920LL, 0x0p+0, 0x0p+0}}}},
+    {"duplex-split-contended",
+     1311153127117LL,
+     {{{194602604285LL, 0x1.74bc17f8e794bp+4, 0x1.0eb16af7c6d24p+4},
+       {2366339264LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d699p-2},
+       {14053558496LL, 0x1.121468c343dbfp+1, 0x1.107ae4c2ffc54p-3},
+       {1039281970192LL, 0x1.b17ab73bbee39p+8, 0x1.043e8c22a4f18p+7},
+       {60848654880LL, 0x0p+0, 0x0p+0}}}},
+    {"gpu",
+     2049757016744LL,
+     {{{112700045911LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2527169664LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {25253934144LL, 0x1.cf892726d967p+1, 0x1.8541d91691f5p-3},
+       {1779992657553LL, 0x1.255b8cb65fd13p+9, 0x1.168e21a67ff06p+7},
+       {129283209472LL, 0x0p+0, 0x0p+0}}}},
+    {"gpu-2x",
+     1278917707113LL,
+     {{{79576027415LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {2127584864LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {20178967104LL, 0x1.cf892726d967p+1, 0x1.8541d91691f5p-3},
+       {918654475890LL, 0x1.255b8cb65fd13p+9, 0x1.168e21a67ff06p+7},
+       {258380651840LL, 0x0p+0, 0x0p+0}}}},
+    {"hetero",
+     2590175282897LL,
+     {{{178948097327LL, 0x1.5ff8f7f1d3633p+4, 0x1.0eb16af7c6d1ep+4},
+       {3326339168LL, 0x1.23fa2b5a6725bp-2, 0x1.6c1cadf69d698p-2},
+       {13925558592LL, 0x1.121468c343dc5p+1, 0x1.107ae4c2ffc4fp-3},
+       {2336766948482LL, 0x1.5af7ce1ce9244p+8, 0x1.85fe2a103f7efp+6},
+       {57208339328LL, 0x0p+0, 0x0p+0}}}},
+};
+
+TEST(Engine, GoldenTimeAndEnergyExactOnEveryRegisteredSystem)
+{
+    std::vector<std::string> pinned;
+    for (const ExactGolden &g : kExactGoldens) {
+        SCOPED_TRACE(g.system);
+        pinned.push_back(g.system);
+        const SimResult r = SimulationEngine(goldenConfig(g.system)).run();
+        EXPECT_EQ(r.totals.time, g.time);
+        for (int k = 0; k < kNumLayerClasses; ++k) {
+            const ClassSlice &got = r.totals.byClass[k];
+            const ClassSlice &want = g.byClass[k];
+            EXPECT_EQ(got.time, want.time) << "class " << k;
+            EXPECT_EQ(got.energy.dramJ, want.energy.dramJ)
+                << "class " << k;
+            EXPECT_EQ(got.energy.computeJ, want.energy.computeJ)
+                << "class " << k;
+        }
+    }
+    // Every registered system is pinned (registeredSystems is
+    // sorted, as is the table).
+    EXPECT_EQ(pinned, registeredSystems());
 }
 
 TEST(Engine, ObserverCallbackOrderingAndCounts)
