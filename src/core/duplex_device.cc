@@ -229,29 +229,28 @@ HybridDevice::runMoeGroups(const std::vector<std::int64_t> &tokens,
                                     : xpuPrice_.at(n).energy;
             }
         } else {
+            // Both engines' sums in one pass, each in expert order,
+            // so every expert is priced once per engine.
             lastExpertsOnLow_ = 0;
             int num_active = 0;
-            PicoSec t_xpu = spec_.xpu.dispatchOverhead;
-            PicoSec t_low = spec_.low.dispatchOverhead;
+            DeviceTiming on_xpu;
+            DeviceTiming on_low;
+            on_xpu.time = spec_.xpu.dispatchOverhead;
+            on_low.time = spec_.low.dispatchOverhead;
             for (std::size_t i = g; i < g + size; ++i) {
                 if (tokens[i] == 0)
                     continue;
                 ++num_active;
-                t_xpu += xpuPrice_.at(tokens[i]).time;
-                t_low += lowPrice_.at(tokens[i]).time;
+                on_xpu += xpuPrice_.at(tokens[i]);
+                on_low += lowPrice_.at(tokens[i]);
             }
             if (num_active == 0)
                 continue;
             // Engine selection for the whole group by total time.
-            const bool use_low = t_low < t_xpu;
+            const bool use_low = on_low.time < on_xpu.time;
             if (use_low)
                 lastExpertsOnLow_ = num_active;
-            const ExpertPriceTable &price =
-                use_low ? lowPrice_ : xpuPrice_;
-            group.time = use_low ? t_low : t_xpu;
-            for (std::size_t i = g; i < g + size; ++i)
-                if (tokens[i] > 0)
-                    group.energy += price.at(tokens[i]).energy;
+            group = use_low ? on_low : on_xpu;
         }
         total.time = std::max(total.time, group.time);
         total.energy.dramJ += group.energy.dramJ * energy_scale;

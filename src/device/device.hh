@@ -76,16 +76,22 @@ struct ExpertWork
  * One engine's price of one expert FFN shard by token count: the
  * time without dispatch overhead and the energy of
  * cost.at(tokens).scaled(shard) on that engine. A device builds one
- * per engine when the expert cost is installed. Counts below kCap,
- * the small counts decode stages repeat layer after layer, are
- * priced then, into an inline array (no heap, 1.5 KB); larger
- * (prefill) counts are priced on each call by the same function,
- * so each count has exactly one value however it is read.
+ * per engine when the expert cost is installed. Counts below kCap
+ * are priced then, into an inline array (no heap, 768 B); larger
+ * counts are priced on each call by the same function, so each
+ * count has exactly one value however it is read.
+ *
+ * kCap covers small-batch decode counts: a decode stage of batch B
+ * gives an expert at most B tokens, and top-2 of 8 gives it about
+ * B/4, so batch 16 always and batch 64 almost always stay below 32.
+ * Prefill-sized counts (hundreds) are left out, since every fleet
+ * instance carries its own table: covering them would cost
+ * kilobytes per device.
  */
 class ExpertPriceTable
 {
   public:
-    static constexpr std::int64_t kCap = 64;
+    static constexpr std::int64_t kCap = 32;
 
     ExpertPriceTable() = default;
     ExpertPriceTable(const EngineSpec &engine, DramPath path,
