@@ -40,7 +40,6 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "dram/calibrate.hh"
 #include "fleet/fleet.hh"
 
 using namespace duplex;
@@ -198,10 +197,7 @@ main(int argc, char **argv)
     // Each size runs alone, so its wall-clock is its own, and
     // repeats until it has served as many requests as the largest
     // fleet: a short run would let one scheduling hiccup of a shared
-    // machine swing its cost. The DRAM calibration is shared by
-    // every instance; warm it first so the smallest fleet does not
-    // pay for it.
-    cachedCalibration();
+    // machine swing its cost.
     banner("Fleet driver scaling: least-loaded x instance count");
     std::printf("gpu instances, Lin 256, Lout 64, open loop at "
                 "%.0f qps/instance, %d request(s)/instance\n",

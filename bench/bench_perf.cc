@@ -4,9 +4,11 @@
  * emits BENCH_perf.json so the perf trajectory is a tracked,
  * per-PR artifact (uploaded by the CI Release job).
  *
- * Three probes:
+ * Probes:
  *  - cost model: the O(1) closed-form attention costs against the
  *    retained per-context reference loops (batch 256);
+ *  - set-up: host seconds of the process's first system build,
+ *    which would show a per-process DRAM probe run coming back;
  *  - stage execution: stages/sec of Cluster::executeStage on a
  *    representative decode and mixed stage, and on a batch-16
  *    decode stage on the GPU (the perfbench fleet-wide instance
@@ -26,6 +28,8 @@
  *    (64 experts), the loop that dominates every MoE simulation.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 
@@ -91,7 +95,11 @@ probeCostModel()
     return probe;
 }
 
-/** Stages/sec of one system on a fixed stage shape. */
+/**
+ * Stages/sec of one system on a fixed stage shape: the median of
+ * five windows of @p iters stages each, so that one scheduling
+ * hiccup of a shared machine does not set the number.
+ */
 double
 probeStageExec(const std::string &system, const StageShape &stage,
                int iters = 300)
@@ -100,12 +108,18 @@ probeStageExec(const std::string &system, const StageShape &stage,
         makeSystem(system, mixtralConfig());
     // Warm up once (device LUT construction etc.).
     sys->executeStage(stage);
-    const auto t0 = Clock::now();
-    PicoSec sink = 0;
-    for (int i = 0; i < iters; ++i)
-        sink += sys->executeStage(stage).time;
-    const double sec = secondsSince(t0);
-    return sink > 0 && sec > 0.0 ? iters / sec : 0.0;
+    std::array<double, 5> rates{};
+    for (double &rate : rates) {
+        const auto t0 = Clock::now();
+        PicoSec sink = 0;
+        for (int i = 0; i < iters; ++i)
+            sink += sys->executeStage(stage).time;
+        const double sec = secondsSince(t0);
+        rate = sink > 0 && sec > 0.0 ? iters / sec : 0.0;
+    }
+    const auto mid = rates.begin() + rates.size() / 2;
+    std::nth_element(rates.begin(), mid, rates.end());
+    return *mid;
 }
 
 struct SweepProbe
@@ -228,6 +242,15 @@ main()
 {
     banner("Perf: simulator throughput (BENCH_perf.json)");
 
+    // The process's first system build, before any other probe
+    // builds one: the set-up every simulator run pays once.
+    const auto setup_t0 = Clock::now();
+    const std::unique_ptr<ServingSystem> first =
+        makeSystem("duplex", mixtralConfig());
+    const double first_system_s = secondsSince(setup_t0);
+    std::printf("setup: first duplex system built in %.6f s\n",
+                first_system_s);
+
     const CostModelProbe cost = probeCostModel();
     std::printf("cost model: closed form %.1f ns, reference %.1f "
                 "ns, speedup %.1fx\n",
@@ -319,6 +342,8 @@ main()
                  "\"checksum\": %.17g},\n",
                  cost.closedFormNs, cost.referenceNs, cost.speedup,
                  cost.checksum);
+    std::fprintf(json, "  \"setup\": {\"first_system_s\": %.6f},\n",
+                 first_system_s);
     std::fprintf(json, "  \"stage_exec\": {");
     for (std::size_t i = 0; i < std::size(stage_probes); ++i)
         std::fprintf(json, "%s\"%s\": %.3f", i ? ", " : "",

@@ -56,7 +56,7 @@ Cluster::Cluster(const ClusterConfig &config)
 
     const double shard = plan_.expertShardFraction();
     device_->setExpertCost(costs_.expertFfnAffine(), shard);
-    if (cfg_.deviceSpec.hasLowEngine) {
+    if (cfg_.deviceSpec.hasLowEngine && cfg_.deviceSpec.coProcessing) {
         lut_ = std::make_unique<ExpertTimeLut>(
             cfg_.deviceSpec.xpu, cfg_.deviceSpec.low,
             costs_.expertFfn(1).scaled(shard),

@@ -189,7 +189,11 @@ class Device
     runMoeGroups(const std::vector<std::int64_t> &tokens,
                  int group_size, double energy_scale) = 0;
 
-    /** Install the expert-time lookup table (hybrid devices). */
+    /**
+     * Install the expert-time lookup table (hybrid devices). The
+     * Cluster installs one only for co-processing specs, the only
+     * ones that read it.
+     */
     virtual void setExpertLut(const ExpertTimeLut *lut) { (void)lut; }
 };
 

@@ -1,7 +1,5 @@
 #include "dram/calibrate.hh"
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/log.hh"
@@ -126,13 +124,20 @@ calibrateDram(const HbmTiming &timing, Bytes bytes_per_pch)
     return cal;
 }
 
+// Regenerate with the literals Calibration.CommittedTableMatchesLiveProbes
+// prints when it fails.
+constexpr DramCalibration kHbm3Calibration{
+    .xpuStreamEff = 0x1.c7b4dfc28ca17p-1,
+    .pimStaggeredEff = 0x1.6adb9b576c7c6p-1,
+    .pimLockstepEff = 0x1.196f177cb8188p-1,
+    .xpuCoEff = 0x1.c253150a02afep-1,
+    .pimCoEff = 0x1.6a1acd99e5fb5p-1,
+};
+
 const DramCalibration &
 cachedCalibration()
 {
-    static std::once_flag flag;
-    static DramCalibration cal;
-    std::call_once(flag, [] { cal = calibrateDram(hbm3Timing()); });
-    return cal;
+    return kHbm3Calibration;
 }
 
 } // namespace duplex

@@ -11,7 +11,11 @@
  *    case, which shares rank ACT windows and refresh).
  *
  * Device models consume these factors so every figure in the paper
- * reproduction rests on measured DRAM behaviour.
+ * reproduction rests on measured DRAM behaviour. The default HBM3
+ * factors are committed as constants (kHbm3Calibration), the exact
+ * output of calibrateDram(hbm3Timing()), so building a system costs
+ * no probe run; Calibration.CommittedTableMatchesLiveProbes re-runs
+ * the probes and fails when the DRAM model moves them.
  */
 
 #ifndef DUPLEX_DRAM_CALIBRATE_HH
@@ -68,8 +72,16 @@ DramCalibration calibrateDram(const HbmTiming &timing,
                               Bytes bytes_per_pch = 2 * kMiB);
 
 /**
- * Memoized calibration for the default HBM3 timing; probes run once
- * per process.
+ * The calibration of the default HBM3 timing: the committed output
+ * of calibrateDram(hbm3Timing()) at the default probe length,
+ * re-measured bit for bit by the test
+ * Calibration.CommittedTableMatchesLiveProbes.
+ */
+extern const DramCalibration kHbm3Calibration;
+
+/**
+ * Calibration for the default HBM3 timing (kHbm3Calibration); runs
+ * no probe.
  */
 const DramCalibration &cachedCalibration();
 

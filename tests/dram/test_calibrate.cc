@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "dram/calibrate.hh"
 
 namespace duplex
@@ -55,6 +58,46 @@ TEST(Calibration, CachedIsStable)
     const DramCalibration &a = cachedCalibration();
     const DramCalibration &b = cachedCalibration();
     EXPECT_EQ(&a, &b);
+}
+
+/** @p v as a hex-float literal, exact and ready to paste. */
+std::string
+hexLiteral(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+TEST(Calibration, CommittedTableMatchesLiveProbes)
+{
+    const DramCalibration live = calibrateDram(hbm3Timing());
+    const DramCalibration &table = kHbm3Calibration;
+    EXPECT_EQ(&cachedCalibration(), &table);
+    const struct
+    {
+        const char *name;
+        double DramCalibration::*field;
+    } fields[] = {
+        {"xpuStreamEff", &DramCalibration::xpuStreamEff},
+        {"pimStaggeredEff", &DramCalibration::pimStaggeredEff},
+        {"pimLockstepEff", &DramCalibration::pimLockstepEff},
+        {"xpuCoEff", &DramCalibration::xpuCoEff},
+        {"pimCoEff", &DramCalibration::pimCoEff},
+    };
+    bool same = true;
+    std::string paste;
+    for (const auto &f : fields) {
+        same = same && live.*f.field == table.*f.field;
+        paste += "    ." + std::string(f.name) + " = " +
+                 hexLiteral(live.*f.field) + ",\n";
+    }
+    EXPECT_TRUE(same)
+        << "the live HBM3 probes no longer match kHbm3Calibration. "
+           "If the DRAM model change is intended, replace the "
+           "initializers of kHbm3Calibration in "
+           "src/dram/calibrate.cc with:\n"
+        << paste;
 }
 
 TEST(Calibration, DeterministicAcrossRuns)
