@@ -32,6 +32,8 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_util.hh"
 #include "kvcache/prefix_cache.hh"
@@ -95,31 +97,51 @@ probeCostModel()
     return probe;
 }
 
-/**
- * Stages/sec of one system on a fixed stage shape: the median of
- * five windows of @p iters stages each, so that one scheduling
- * hiccup of a shared machine does not set the number.
- */
-double
-probeStageExec(const std::string &system, const StageShape &stage,
-               int iters = 300)
+/** One stage-execution probe: a system on a fixed stage shape. */
+struct StageProbe
 {
-    const std::unique_ptr<ServingSystem> sys =
-        makeSystem(system, mixtralConfig());
-    // Warm up once (device LUT construction etc.).
-    sys->executeStage(stage);
-    std::array<double, 5> rates{};
-    for (double &rate : rates) {
-        const auto t0 = Clock::now();
-        PicoSec sink = 0;
-        for (int i = 0; i < iters; ++i)
-            sink += sys->executeStage(stage).time;
-        const double sec = secondsSince(t0);
-        rate = sink > 0 && sec > 0.0 ? iters / sec : 0.0;
+    const char *name;
+    const char *system;
+    const StageShape &stage;
+    int iters;
+    double stagesPerSec = 0.0;
+};
+
+/**
+ * Stages/sec of each probe: the median of five windows of
+ * `iters` stages each, so that one scheduling hiccup of a shared
+ * machine does not set the number. The windows run in interleaved
+ * rounds — every probe once per round — so a slow phase that
+ * outlasts a whole probe lands on one window of each probe, not on
+ * all five windows of one.
+ */
+void
+probeStageExec(std::vector<StageProbe> &probes)
+{
+    std::vector<std::unique_ptr<ServingSystem>> systems;
+    for (const StageProbe &p : probes) {
+        systems.push_back(makeSystem(p.system, mixtralConfig()));
+        // Warm up once (device LUT construction etc.).
+        systems.back()->executeStage(p.stage);
     }
-    const auto mid = rates.begin() + rates.size() / 2;
-    std::nth_element(rates.begin(), mid, rates.end());
-    return *mid;
+    constexpr std::size_t kRounds = 5;
+    std::vector<std::array<double, kRounds>> rates(probes.size());
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const auto t0 = Clock::now();
+            PicoSec sink = 0;
+            for (int k = 0; k < probes[i].iters; ++k)
+                sink += systems[i]->executeStage(probes[i].stage).time;
+            const double sec = secondsSince(t0);
+            rates[i][round] =
+                sink > 0 && sec > 0.0 ? probes[i].iters / sec : 0.0;
+        }
+    }
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        const auto mid = rates[i].begin() + kRounds / 2;
+        std::nth_element(rates[i].begin(), mid, rates[i].end());
+        probes[i].stagesPerSec = *mid;
+    }
 }
 
 struct SweepProbe
@@ -266,20 +288,14 @@ main()
     for (int i = 0; i < 16; ++i)
         decode16_stage.decodeContexts.push_back(288);
 
-    struct StageProbe
-    {
-        const char *name;
-        double stagesPerSec;
+    std::vector<StageProbe> stage_probes = {
+        {"gpu_decode64", "gpu", decode_stage, 300},
+        {"gpu_mixed64", "gpu", mixed_stage, 300},
+        {"gpu_decode16", "gpu", decode16_stage, 3000},
+        {"duplex_decode64", "duplex-pe-et", decode_stage, 300},
+        {"duplex_mixed64", "duplex-pe-et", mixed_stage, 300},
     };
-    const StageProbe stage_probes[] = {
-        {"gpu_decode64", probeStageExec("gpu", decode_stage)},
-        {"gpu_mixed64", probeStageExec("gpu", mixed_stage)},
-        {"gpu_decode16", probeStageExec("gpu", decode16_stage, 3000)},
-        {"duplex_decode64",
-         probeStageExec("duplex-pe-et", decode_stage)},
-        {"duplex_mixed64",
-         probeStageExec("duplex-pe-et", mixed_stage)},
-    };
+    probeStageExec(stage_probes);
     for (const StageProbe &p : stage_probes)
         std::printf("stage exec %-16s %10.0f stages/s\n", p.name,
                     p.stagesPerSec);

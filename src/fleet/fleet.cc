@@ -602,15 +602,8 @@ FleetDriver::scheduleRetry(Request request, int instance,
             o->onRetry(instance, request, attempt, true, now);
         return;
     }
-    // The retry restarts from prefill — the crashed KV is gone
-    // (chunked-prefill progress included).
-    request.retries = attempt;
-    request.generated = 0;
-    request.prefilled = 0;
-    request.cachedTokens = 0; // re-admission probes the cache again
-    request.firstToken = -1;
-    request.finished = -1;
-    request.tokenTimes.clear();
+    // The crashed KV is gone (chunked-prefill progress included).
+    request.restartFromPrefill();
     const PicoSec at = now + config_.retry.backoffFor(attempt);
     request.arrival = at;
     ++result_.retriesScheduled;

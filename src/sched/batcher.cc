@@ -9,27 +9,27 @@
 namespace duplex
 {
 
-ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config,
-                                     std::vector<Request> requests,
-                                     SchedulingPolicy *policy)
+ContinuousBatcher::ContinuousBatcher(
+    const BatcherConfig &config, std::vector<Request> requests,
+    std::unique_ptr<SchedulingPolicy> policy)
     : ContinuousBatcher(
           config,
           ArrivalQueue(std::move(requests), config.closedLoop),
-          policy)
+          std::move(policy))
 {
 }
 
-ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config,
-                                     ArrivalQueue arrivals,
-                                     SchedulingPolicy *policy,
-                                     PrefixCachePool *pool)
+ContinuousBatcher::ContinuousBatcher(
+    const BatcherConfig &config, ArrivalQueue arrivals,
+    std::unique_ptr<SchedulingPolicy> policy, PrefixCachePool *pool)
     : config_(config), arrivals_(std::move(arrivals)),
-      policy_(policy),
+      policy_(std::move(policy)),
       pool_(pool != nullptr && pool->enabled() ? pool : nullptr)
 {
     fatalIf(config_.maxBatch <= 0, "maxBatch must be positive");
     fatalIf(config_.prefillChunkTokens < 0,
             "prefillChunkTokens must be >= 0 (0 = off)");
+    fatalIf(!policy_, "the batcher needs a scheduling policy");
 }
 
 std::int64_t
@@ -118,52 +118,7 @@ ContinuousBatcher::formStage(PicoSec now)
         }
     }
 
-    // Admit new requests while a slot and KV room exist. The KV
-    // headroom base is the incrementally maintained lifetime sum,
-    // so forming a stage costs O(admissions), not O(batch).
-    std::int64_t kv = activeLifetimeKv_;
-    if (policy_ == nullptr) {
-        // FCFS fast path — the seed's admission loop, preserved
-        // bit-for-bit when chunking is off (prefillSpan is then the
-        // whole prompt).
-        while (arrivals_.hasAdmissible(now) &&
-               static_cast<int>(stage.prefillLengths.size()) <
-                   config_.maxPrefillsPerStage &&
-               active_.size() <
-                   static_cast<std::size_t>(config_.maxBatch)) {
-            const Request &cand = arrivals_.front();
-            // Budget the candidate's full KV lifetime (prompt plus
-            // the tokens it will generate) against the active set's
-            // lifetime sum. Within one stage, earlier admissions
-            // contribute only their prompt to `kv` — the seed's
-            // admission rule, preserved bit-for-bit (a multi-admit
-            // stage can therefore still overshoot the cap late in
-            // generation, exactly as the original walk allowed).
-            const std::int64_t need =
-                kv + cand.inputLen + cand.outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            if (need > kvCapacity()) {
-                // Live work wins over cache residency: ask the
-                // pool to give headroom back before giving up.
-                if (pool_ != nullptr)
-                    pool_->reclaim(need - kvCapacity());
-                if (need > kvCapacity())
-                    break;
-            }
-            Request admitted = arrivals_.pop(now);
-            applyPrefixCache(admitted);
-            kv += admitted.inputLen;
-            activeLifetimeKv_ +=
-                admitted.inputLen + admitted.outputLen;
-            ++admissions_;
-            const std::int64_t span = prefillSpan(admitted);
-            stage.prefillLengths.push_back(span);
-            stage.agg.addPrefill(span);
-            active_.push_back(std::move(admitted));
-        }
-    } else {
-        admitWithPolicy(now, stage, kv);
-    }
+    admit(now, stage);
 
     if (config_.exactStageView) {
         // Opt-in slow path: per-context values for consumers that
@@ -187,8 +142,7 @@ ContinuousBatcher::formStage(PicoSec now)
 }
 
 void
-ContinuousBatcher::admitWithPolicy(PicoSec now, StageShape &stage,
-                                   std::int64_t &kv)
+ContinuousBatcher::admit(PicoSec now, StageShape &stage)
 {
     // Open loop: materialize every due arrival into the ready pool
     // so the policy can reorder among them. Closed-loop draws stay
@@ -199,77 +153,72 @@ ContinuousBatcher::admitWithPolicy(PicoSec now, StageShape &stage,
         while (arrivals_.hasAdmissible(now))
             ready_.push_back(arrivals_.pop(now));
 
-    std::vector<const Request *> &queue_view = queueViewScratch_;
+    // The KV headroom base is the incrementally maintained lifetime
+    // sum, so forming a stage costs O(admissions), not O(batch).
+    // Within one stage, earlier admissions contribute only their
+    // prompt to `kv` — the seed's admission rule (a multi-admit
+    // stage can therefore still overshoot the cap late in
+    // generation, exactly as the original walk allowed).
+    std::int64_t kv = activeLifetimeKv_;
     for (;;) {
+        const SchedSnapshot snap = snapshot(now, stage);
         if (static_cast<int>(stage.prefillLengths.size()) >=
-            policy_->prefillBudget(snapshot(now, stage)))
+            policy_->prefillBudget(snap))
             break;
 
         const bool from_ready = !ready_.empty();
         const Request *cand = nullptr;
         std::size_t pick = 0;
         if (from_ready) {
-            queue_view.clear();
-            for (const Request &r : ready_)
-                queue_view.push_back(&r);
-            const int choice = policy_->nextAdmission(
-                queue_view, snapshot(now, stage));
+            const int choice = policy_->nextAdmission(ready_, snap);
             if (choice < 0)
                 break;
-            panicIf(choice >=
-                        static_cast<int>(queue_view.size()),
+            panicIf(static_cast<std::size_t>(choice) >= ready_.size(),
                     "SchedulingPolicy::nextAdmission index out of "
                     "range");
             pick = static_cast<std::size_t>(choice);
-            cand = queue_view[pick];
+            cand = &ready_[pick];
         } else if (arrivals_.hasAdmissible(now)) {
             cand = &arrivals_.front();
         } else {
             break;
         }
 
-        // The seed's admission formula: full-lifetime KV plus one
-        // slack slot per batch member.
-        auto fits = [&] {
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            return active_.size() <
-                       static_cast<std::size_t>(config_.maxBatch) &&
-                   need <= kvCapacity();
-        };
-        if (pool_ != nullptr && !fits()) {
-            // Live work wins: reclaim cache residency before the
-            // policy considers preempting real decodes.
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            if (need > kvCapacity())
+        // The seed's admission formula: the candidate's full KV
+        // lifetime (prompt plus the tokens it will generate) plus
+        // one slack slot per batch member.
+        std::int64_t need =
+            kv + cand->inputLen + cand->outputLen +
+            static_cast<std::int64_t>(active_.size()) + 1;
+        const bool batch_full =
+            active_.size() >=
+            static_cast<std::size_t>(config_.maxBatch);
+        // Live work wins over cache residency, but only for a
+        // candidate with a batch slot: with a slot free, reclaim
+        // before considering preemption; with the batch full, only
+        // once victims will free one.
+        auto reclaim = [&] {
+            if (pool_ != nullptr && need > kvCapacity())
                 pool_->reclaim(need - kvCapacity());
-        }
-        if (!fits()) {
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            const std::int64_t need_kv = std::max<std::int64_t>(
-                0, need - kvCapacity());
-            const int need_slots =
-                active_.size() >=
-                        static_cast<std::size_t>(config_.maxBatch)
-                    ? 1
-                    : 0;
-            std::vector<const Request *> &active_view =
-                activeViewScratch_;
-            active_view.clear();
-            for (const Request &r : active_)
-                active_view.push_back(&r);
+        };
+        if (!batch_full)
+            reclaim();
+        if (batch_full || need > kvCapacity()) {
+            // A reclaim either makes room or empties the pool, so
+            // the KV still short after one is measured against the
+            // configured cap. Policies are pure, so asking for
+            // victims before the full-batch reclaim sees the same
+            // state a reclaim-first order would.
             std::vector<std::size_t> &victims = victimScratch_;
             victims.clear();
-            policy_->selectVictims(*cand, active_view, need_kv,
-                                   need_slots,
-                                   snapshot(now, stage), victims);
+            policy_->selectVictims(
+                *cand, active_,
+                std::max<std::int64_t>(0, need - config_.maxKvTokens),
+                batch_full ? 1 : 0, snap, victims);
             if (victims.empty())
                 break;
+            if (batch_full)
+                reclaim();
             // Evict highest index first so the remaining indices
             // stay valid; duplicates would double-evict.
             std::sort(victims.begin(), victims.end(),
@@ -282,11 +231,13 @@ ContinuousBatcher::admitWithPolicy(PicoSec now, StageShape &stage,
                 panicIf(idx >= active_.size(),
                         "SchedulingPolicy::selectVictims index "
                         "out of range");
-                kv -= active_[idx].inputLen +
-                      active_[idx].outputLen;
+                const std::int64_t lifetime =
+                    active_[idx].inputLen + active_[idx].outputLen;
+                kv -= lifetime;
+                need -= lifetime + 1;
                 preemptActive(idx);
             }
-            if (!fits())
+            if (need > kvCapacity())
                 break; // the evictions still do not make room
         }
 
@@ -324,18 +275,10 @@ ContinuousBatcher::preemptActive(std::size_t index)
     activeLifetimeKv_ -= victim.inputLen + victim.outputLen;
     preemptedTokens_ += victim.generated;
     ++preempted_;
-    // The victim's KV is gone with its batch slot, so it restarts
-    // from prefill — the same lifecycle reset the fleet's
-    // crash-retry path applies (fleet/fleet.cc scheduleRetry).
-    // The original arrival survives, so its eventual TTFT/E2E
-    // latency carries the full preemption penalty.
-    victim.retries += 1;
-    victim.generated = 0;
-    victim.prefilled = 0;
-    victim.cachedTokens = 0; // re-admission probes the cache again
-    victim.firstToken = -1;
-    victim.finished = -1;
-    victim.tokenTimes.clear();
+    // The victim's KV is gone with its batch slot. The original
+    // arrival survives, so its eventual TTFT/E2E latency carries
+    // the full preemption penalty.
+    victim.restartFromPrefill();
     ready_.push_back(std::move(victim));
 }
 
@@ -403,8 +346,8 @@ void
 ContinuousBatcher::evictAll(std::vector<Request> &out)
 {
     panicIf(stageOpen_, "evictAll with a stage in flight");
-    // The ready pool holds the earliest arrivals (policy runs drain
-    // due requests there), so it drains first to keep the
+    // The ready pool holds the earliest arrivals (open-loop runs
+    // drain due requests there), so it drains first to keep the
     // queued-in-arrival-order contract.
     for (auto &r : ready_)
         out.push_back(std::move(r));

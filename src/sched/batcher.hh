@@ -6,8 +6,10 @@
  * stage over all admitted requests — decode sequences generate one
  * token each, newly admitted requests run their prefill in the same
  * stage (making it a "mixed" stage). When no request is waiting, the
- * stage is "decoding-only". Admission respects both the configured
- * batch size and the KV-cache capacity of the serving system.
+ * stage is "decoding-only". Admission takes requests in the order
+ * the batcher's SchedulingPolicy picks (sched/policy.hh; FCFS by
+ * default) and respects both the configured batch size and the
+ * KV-cache capacity of the serving system.
  */
 
 #ifndef DUPLEX_SCHED_BATCHER_HH
@@ -15,6 +17,7 @@
 
 #include <deque>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "kvcache/prefix_cache.hh"
@@ -83,15 +86,14 @@ class ContinuousBatcher
      * @param config    Admission limits.
      * @param requests  The request stream (pre-generated); gated
      *                  per config.closedLoop.
-     * @param policy    Optional scheduling policy (sched/policy.hh;
-     *                  borrowed, must outlive the batcher). nullptr
-     *                  runs the built-in FCFS fast path —
-     *                  bit-identical to the pre-policy batcher, and
-     *                  to installing the registered "fcfs" policy.
+     * @param policy    The scheduling policy (sched/policy.hh)
+     *                  every admission runs through; the batcher
+     *                  owns it. Default: the registered "fcfs".
      */
     ContinuousBatcher(const BatcherConfig &config,
                       std::vector<Request> requests,
-                      SchedulingPolicy *policy = nullptr);
+                      std::unique_ptr<SchedulingPolicy> policy =
+                          makeSchedulingPolicy("fcfs"));
 
     /**
      * @param config    Admission limits (closedLoop ignored — the
@@ -110,11 +112,14 @@ class ContinuousBatcher
      *                  retirement installs the session's context,
      *                  and the pool's residentTokens() shrink the
      *                  KV admission headroom — reclaimed
-     *                  live-work-first when admission would block.
+     *                  live-work-first, but only for a candidate
+     *                  that has (or, through preemption, gets) a
+     *                  batch slot.
      */
     ContinuousBatcher(const BatcherConfig &config,
                       ArrivalQueue arrivals,
-                      SchedulingPolicy *policy = nullptr,
+                      std::unique_ptr<SchedulingPolicy> policy =
+                          makeSchedulingPolicy("fcfs"),
                       PrefixCachePool *pool = nullptr);
 
     /** True when every request has finished. */
@@ -261,22 +266,18 @@ class ContinuousBatcher
     BatcherConfig config_;
     ArrivalQueue arrivals_; //!< shared closed/open-loop gating
 
-    /**
-     * Borrowed scheduling policy; nullptr is the FCFS fast path
-     * (the exact pre-policy admission loop, no ready_ pool).
-     */
-    SchedulingPolicy *policy_ = nullptr;
+    /** The admission policy; never null ("fcfs" by default). */
+    std::unique_ptr<SchedulingPolicy> policy_;
 
     /** Borrowed KV prefix cache; nullptr/disabled = no cache. */
     PrefixCachePool *pool_ = nullptr;
 
     /**
-     * Arrived-but-unadmitted requests the policy path reorders
-     * over: open-loop arrivals are drained here once due (closed
-     * loop draws stay queued — ArrivalQueue::pop stamps their
-     * arrival at admission, so materializing early would fork the
-     * timestamps), and preempted victims re-queue here. Always
-     * empty on the FCFS fast path.
+     * Arrived-but-unadmitted requests the policy reorders over:
+     * open-loop arrivals are drained here once due (closed loop
+     * draws stay queued — ArrivalQueue::pop stamps their arrival
+     * at admission, so materializing early would fork the
+     * timestamps), and preempted victims re-queue here.
      */
     std::deque<Request> ready_;
 
@@ -284,8 +285,6 @@ class ContinuousBatcher
     bool stageOpen_ = false;
     std::vector<Request> finished_;
     std::vector<Request> stillActiveScratch_; //!< completeStage reuse
-    std::vector<const Request *> queueViewScratch_;
-    std::vector<const Request *> activeViewScratch_;
     std::vector<std::size_t> victimScratch_;
     StageAggregates decodeAgg_; //!< active decode sequences
 
@@ -314,9 +313,8 @@ class ContinuousBatcher
     /** Probe the prefix cache for a just-popped admission. */
     void applyPrefixCache(Request &r);
 
-    /** Policy-driven admission (formStage's non-FCFS arm). */
-    void admitWithPolicy(PicoSec now, StageShape &stage,
-                         std::int64_t &kv);
+    /** Admit what the policy picks and the limits allow. */
+    void admit(PicoSec now, StageShape &stage);
 
     /** Evict one active decode back into ready_ (preemption). */
     void preemptActive(std::size_t index);

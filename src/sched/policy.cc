@@ -9,15 +9,15 @@ namespace
 {
 
 /**
- * The seed's admission rule as a policy object: strict arrival
- * order, configured prefill cap, no preemption. Installing it is
- * bit-identical to running with no policy at all (the batcher's
- * legacy fast path) — pinned in tests/sched/test_policy.cc.
+ * The seed's admission rule: strict arrival order, configured
+ * prefill cap, no preemption. The batcher's default; its stage
+ * shapes are pinned to the pre-policy batcher's in
+ * tests/sched/test_policy.cc.
  */
 class FcfsPolicy : public SchedulingPolicy
 {
   public:
-    int nextAdmission(const std::vector<const Request *> &,
+    int nextAdmission(const std::deque<Request> &,
                       const SchedSnapshot &) override
     {
         return 0;
@@ -48,7 +48,7 @@ class FcfsPolicy : public SchedulingPolicy
 class TtftProtectPolicy : public SchedulingPolicy
 {
   public:
-    int nextAdmission(const std::vector<const Request *> &,
+    int nextAdmission(const std::deque<Request> &,
                       const SchedSnapshot &) override
     {
         return 0;
@@ -88,19 +88,18 @@ class TtftProtectPolicy : public SchedulingPolicy
 class PriorityPolicy : public SchedulingPolicy
 {
   public:
-    int nextAdmission(const std::vector<const Request *> &queue,
+    int nextAdmission(const std::deque<Request> &queue,
                       const SchedSnapshot &) override
     {
         std::size_t best = 0;
         for (std::size_t i = 1; i < queue.size(); ++i)
-            if (queue[i]->priorityClass >
-                queue[best]->priorityClass)
+            if (queue[i].priorityClass > queue[best].priorityClass)
                 best = i;
         return static_cast<int>(best);
     }
 
     void selectVictims(const Request &cand,
-                       const std::vector<const Request *> &active,
+                       const std::vector<Request> &active,
                        std::int64_t need_kv, int need_slots,
                        const SchedSnapshot &,
                        std::vector<std::size_t> &victims) override
@@ -108,21 +107,21 @@ class PriorityPolicy : public SchedulingPolicy
         victims.clear();
         std::vector<std::size_t> eligible;
         for (std::size_t i = 0; i < active.size(); ++i)
-            if (active[i]->generated >= 1 &&
-                active[i]->priorityClass < cand.priorityClass)
+            if (active[i].generated >= 1 &&
+                active[i].priorityClass < cand.priorityClass)
                 eligible.push_back(i);
         auto lifetime = [&](std::size_t i) {
-            return active[i]->inputLen + active[i]->outputLen;
+            return active[i].inputLen + active[i].outputLen;
         };
         std::sort(eligible.begin(), eligible.end(),
                   [&](std::size_t a, std::size_t b) {
-                      if (active[a]->priorityClass !=
-                          active[b]->priorityClass)
-                          return active[a]->priorityClass <
-                                 active[b]->priorityClass;
+                      if (active[a].priorityClass !=
+                          active[b].priorityClass)
+                          return active[a].priorityClass <
+                                 active[b].priorityClass;
                       if (lifetime(a) != lifetime(b))
                           return lifetime(a) > lifetime(b);
-                      return active[a]->id > active[b]->id;
+                      return active[a].id > active[b].id;
                   });
         std::int64_t freed_kv = 0;
         int freed_slots = 0;

@@ -2,10 +2,11 @@
  * @file
  * Pluggable scheduling policies for the continuous batcher.
  *
- * The ContinuousBatcher (sched/batcher.hh) admits FCFS: requests
- * enter the batch in arrival order until a slot, prefill-cap or KV
- * limit stops admission. A SchedulingPolicy makes that loop
- * pluggable along three axes:
+ * Every ContinuousBatcher (sched/batcher.hh) admits through one
+ * loop that asks its SchedulingPolicy along three axes, until a
+ * slot, prefill-cap or KV limit stops admission (FCFS — arrival
+ * order, fixed cap, no preemption — is the registered "fcfs"
+ * policy, the default):
  *
  *  - admission ORDER: nextAdmission() picks which queued request is
  *    tried next (priority classes jump the line);
@@ -15,14 +16,16 @@
  *  - decode PREEMPTION: selectVictims() names active decodes to
  *    evict when a candidate does not fit. Victims lose their KV and
  *    re-queue from prefill — the same lifecycle reset the fleet's
- *    crash-retry path applies (fleet/fleet.cc scheduleRetry).
+ *    crash-retry path applies (Request::restartFromPrefill).
  *
- * Policies see only read-only snapshots of the batcher's queue and
- * active set and must be pure functions of them: no RNG, no wall
+ * Policies read the batcher's own queue and active containers
+ * (const) and must be pure functions of them: no RNG, no wall
  * clock, no hidden mutable state beyond their own deterministic
  * counters. That purity is what lets every policy double-run
  * byte-identical in the CI determinism job, exactly like routing
- * policies (fleet/policy.hh).
+ * policies (fleet/policy.hh) — and the batcher relies on it: with
+ * the batch full it asks for victims before reclaiming prefix
+ * cache, and acts on the answer only if victims come back.
  *
  * Policies register in a string-keyed registry mirroring
  * sim/registry.hh, workload/registry.hh and fleet/policy.hh —
@@ -36,6 +39,7 @@
 #define DUPLEX_SCHED_POLICY_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,8 +51,8 @@ namespace duplex
 {
 
 /** The batcher's admission state as a policy sees it. Rebuilt for
- *  every policy call within a stage, so counts reflect admissions
- *  and preemptions already made while forming it. */
+ *  every admission attempt within a stage, so counts reflect
+ *  admissions and preemptions already made while forming it. */
 struct SchedSnapshot
 {
     PicoSec now = 0;
@@ -65,7 +69,7 @@ struct SchedSnapshot
     /** Requests currently in the batch (decode + admitted). */
     std::size_t activeCount = 0;
 
-    /** Arrived requests waiting for admission (the queue view
+    /** Arrived requests waiting for admission (the queue
      *  nextAdmission() indexes into). */
     std::size_t queuedCount = 0;
 
@@ -76,8 +80,8 @@ struct SchedSnapshot
 
 /**
  * Admission ordering/gating plus optional decode preemption.
- * Decisions must be deterministic in (snapshot, views, own past
- * decisions) — the no-RNG contract above.
+ * Decisions must be deterministic in (snapshot, containers, own
+ * past decisions) — the no-RNG contract above.
  */
 class SchedulingPolicy
 {
@@ -98,9 +102,8 @@ class SchedulingPolicy
      * limits to the pick; a pick that does not fit triggers
      * selectVictims() and, failing that, ends admission.
      */
-    virtual int
-    nextAdmission(const std::vector<const Request *> &queue,
-                  const SchedSnapshot &snap) = 0;
+    virtual int nextAdmission(const std::deque<Request> &queue,
+                              const SchedSnapshot &snap) = 0;
 
     /**
      * Prefill entries (continuing chunks + new admissions) one
@@ -114,7 +117,9 @@ class SchedulingPolicy
 
     /**
      * Candidate @p cand does not fit: @p need_kv lifetime-KV tokens
-     * over capacity and/or @p need_slots batch slots short. Append
+     * over the configured capacity (measured as if the prefix
+     * cache were empty — the batcher reclaims it for a candidate
+     * that gets in) and/or @p need_slots batch slots short. Append
      * indices into @p active (the active batch, admission order) to
      * evict, or leave @p victims empty to give up — the batcher
      * then stops admitting for this stage. Only decoding requests
@@ -124,7 +129,7 @@ class SchedulingPolicy
      */
     virtual void
     selectVictims(const Request &cand,
-                  const std::vector<const Request *> &active,
+                  const std::vector<Request> &active,
                   std::int64_t need_kv, int need_slots,
                   const SchedSnapshot &snap,
                   std::vector<std::size_t> &victims)

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "sched/policy.hh"
 
 namespace duplex
 {
@@ -27,29 +28,12 @@ batcherConfig(const SimConfig &config, ServingSystem &system)
     return bcfg;
 }
 
-/**
- * The scheduling policy a run installs. "fcfs" (the default)
- * returns null — the batcher's policy-free fast path, pinned
- * bit-identical to the explicit FcfsPolicy object in
- * tests/sched/test_policy.cc — so default runs never touch the
- * policy machinery at all.
- */
-std::unique_ptr<SchedulingPolicy>
-driverPolicy(const SimConfig &config)
-{
-    const std::string &id = config.schedPolicyOrDefault();
-    if (id == "fcfs")
-        return nullptr;
-    return makeSchedulingPolicy(id);
-}
-
 } // namespace
 
 DriverLoop::DriverLoop(const SimConfig &config,
                        ServingSystem &system, SimObserver &observer,
                        ArrivalQueue arrivals, PicoSec start)
     : config_(config), system_(system), observer_(observer),
-      policy_(driverPolicy(config)),
       pool_(config.prefixCache.enabled()
                 ? std::make_unique<PrefixCachePool>(
                       config.prefixCache,
@@ -57,7 +41,7 @@ DriverLoop::DriverLoop(const SimConfig &config,
                           config.model.kvBytesPerToken()))
                 : nullptr),
       batcher_(batcherConfig(config, system), std::move(arrivals),
-               policy_.get(), pool_.get()),
+               makeSchedulingPolicy(config.schedPolicy), pool_.get()),
       // Retirement streaming: finished requests are drained every
       // stage, their latency samples extracted by the accumulator,
       // and the Request — tokenTimes vector included — dropped on

@@ -29,7 +29,6 @@
 
 #include "sched/batcher.hh"
 #include "sched/metrics.hh"
-#include "sched/policy.hh"
 #include "sim/engine.hh"
 
 namespace duplex
@@ -179,14 +178,6 @@ class DriverLoop
     SimConfig config_;
     ServingSystem &system_;
     SimObserver &observer_;
-
-    /**
-     * The scheduling policy config_.schedPolicy names, built from
-     * the SchedulingPolicyRegistry; null for "fcfs" (the default),
-     * which runs the batcher's policy-free fast path. Declared
-     * before batcher_ — the batcher borrows the raw pointer.
-     */
-    std::unique_ptr<SchedulingPolicy> policy_;
 
     /**
      * The KV prefix cache config_.prefixCache describes; null when

@@ -77,6 +77,23 @@ struct Request
     std::int64_t contextLen() const { return inputLen + generated; }
 
     bool done() const { return generated >= outputLen; }
+
+    /**
+     * Re-queue from prefill: the request's KV is gone (a batcher
+     * preemption or a fleet crash), so its lifecycle restarts and
+     * the attempt counts in retries. The arrival is left to the
+     * caller — a preemption keeps it, a crash retry re-stamps it.
+     */
+    void restartFromPrefill()
+    {
+        retries += 1;
+        generated = 0;
+        prefilled = 0;
+        cachedTokens = 0; // re-admission probes the cache again
+        firstToken = -1;
+        finished = -1;
+        tokenTimes.clear();
+    }
 };
 
 } // namespace duplex

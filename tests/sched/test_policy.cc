@@ -1,15 +1,18 @@
 /**
  * @file
- * Scheduling-policy tests: registry round-trips, the fcfs
- * policy-object == legacy-fast-path bit-identity, chunked-prefill
- * semantics, the preemption accounting invariant, and the
- * priority-class trace-CSV round-trip.
+ * Scheduling-policy tests: registry round-trips, fcfs stage shapes
+ * pinned to the pre-policy batcher, the prefix-cache reclaim rule
+ * under a full batch, chunked-prefill semantics, the preemption
+ * accounting invariant, and the priority-class trace-CSV
+ * round-trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
+#include "kvcache/prefix_cache.hh"
 #include "sched/batcher.hh"
 #include "sched/policy.hh"
 #include "sim/engine.hh"
@@ -75,64 +78,206 @@ TEST(Policy, TtftProtectWidensPrefillCapUnderBacklog)
     EXPECT_EQ(policy->prefillBudget(snap), 8);
 }
 
-/** Drive two batchers through identical stage timestamps and
- *  require bit-identical stage shapes and finished lifecycles. */
-void
-expectBatchersIdentical(ContinuousBatcher &a, ContinuousBatcher &b)
+/** A formed stage: (numPrefill, prefillSum, numDecode, contextSum). */
+using StageSig = std::array<std::int64_t, 4>;
+
+/** A retired request: (id, firstToken, finished, retries,
+ *  cachedTokens, tokens timed). */
+using LifeSig = std::array<std::int64_t, 6>;
+
+struct RunTrace
 {
+    std::vector<StageSig> stages;
+    std::vector<LifeSig> finished;
+};
+
+/** Drive @p b to completion, one stage per 1000 ps, recording every
+ *  formed stage and every retired lifecycle. */
+RunTrace
+traceRun(ContinuousBatcher &b)
+{
+    RunTrace t;
     PicoSec now = 0;
-    int guard = 0;
-    while (!a.allDone() || !b.allDone()) {
-        ASSERT_LT(++guard, 10000);
-        const StageShape sa = a.formStage(now);
-        const StageShape sb = b.formStage(now);
-        ASSERT_EQ(sa.prefillLengths, sb.prefillLengths);
-        ASSERT_EQ(sa.agg.numPrefill, sb.agg.numPrefill);
-        ASSERT_EQ(sa.agg.prefillSum, sb.agg.prefillSum);
-        ASSERT_EQ(sa.agg.numDecode, sb.agg.numDecode);
-        ASSERT_EQ(sa.agg.contextSum, sb.agg.contextSum);
+    for (int guard = 0; !b.allDone() && guard < 10000; ++guard) {
+        const StageShape s = b.formStage(now);
+        t.stages.push_back({s.agg.numPrefill, s.agg.prefillSum,
+                            s.agg.numDecode, s.agg.contextSum});
         now += 1000;
-        if (sa.totalTokens() > 0)
-            a.completeStage(now);
-        if (sb.totalTokens() > 0)
+        if (s.totalTokens() > 0)
             b.completeStage(now);
-        if (sa.totalTokens() == 0 && sb.totalTokens() == 0)
-            break; // both idle forever: nothing left to compare
     }
-    const std::vector<Request> &fa = a.finished();
-    const std::vector<Request> &fb = b.finished();
-    ASSERT_EQ(fa.size(), fb.size());
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-        EXPECT_EQ(fa[i].id, fb[i].id);
-        EXPECT_EQ(fa[i].firstToken, fb[i].firstToken);
-        EXPECT_EQ(fa[i].finished, fb[i].finished);
-        EXPECT_EQ(fa[i].tokenTimes, fb[i].tokenTimes);
-    }
+    EXPECT_TRUE(b.allDone());
+    for (const Request &r : b.finished())
+        t.finished.push_back(
+            {r.id, r.firstToken, r.finished, r.retries,
+             r.cachedTokens,
+             static_cast<std::int64_t>(r.tokenTimes.size())});
+    return t;
 }
 
-TEST(Policy, FcfsObjectMatchesLegacyFastPathClosedLoop)
+// The FcfsMatchesPrePolicyBatcher* constants were captured from the
+// batcher as it stood before the policy interface existed (arrival
+// order, fixed prefill cap, reclaim-then-stop on KV): the default
+// policy must reproduce that admission rule stage for stage.
+
+TEST(Policy, FcfsMatchesPrePolicyBatcherClosedLoop)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxPrefillsPerStage = 2;
-    const auto fcfs = makeSchedulingPolicy("fcfs");
-    ContinuousBatcher legacy(cfg, makeRequests(8, 64, 5));
-    ContinuousBatcher policied(cfg, makeRequests(8, 64, 5),
-                               fcfs.get());
-    expectBatchersIdentical(legacy, policied);
+    ContinuousBatcher b(cfg, makeRequests(8, 64, 5));
+    const RunTrace t = traceRun(b);
+    const std::vector<StageSig> stages = {
+        {2, 128, 0, 0},   {1, 64, 2, 130}, {0, 0, 3, 197},
+        {0, 0, 3, 200},   {0, 0, 3, 203},  {2, 128, 1, 68},
+        {1, 64, 2, 130},  {0, 0, 3, 197},  {0, 0, 3, 200},
+        {0, 0, 3, 203},   {2, 128, 1, 68}, {0, 0, 2, 130},
+        {0, 0, 2, 132},   {0, 0, 2, 134},  {0, 0, 2, 136}};
+    const std::vector<LifeSig> finished = {
+        {0, 1000, 5000, 0, 0, 5},   {1, 1000, 5000, 0, 0, 5},
+        {2, 2000, 6000, 0, 0, 5},   {3, 6000, 10000, 0, 0, 5},
+        {4, 6000, 10000, 0, 0, 5},  {5, 7000, 11000, 0, 0, 5},
+        {6, 11000, 15000, 0, 0, 5}, {7, 11000, 15000, 0, 0, 5}};
+    EXPECT_EQ(t.stages, stages);
+    EXPECT_EQ(t.finished, finished);
 }
 
-TEST(Policy, FcfsObjectMatchesLegacyFastPathOpenLoop)
+TEST(Policy, FcfsMatchesPrePolicyBatcherOpenLoop)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxPrefillsPerStage = 2;
     cfg.closedLoop = false;
-    const auto fcfs = makeSchedulingPolicy("fcfs");
-    ContinuousBatcher legacy(cfg, makeRequests(8, 64, 5, 1500));
-    ContinuousBatcher policied(cfg, makeRequests(8, 64, 5, 1500),
-                               fcfs.get());
-    expectBatchersIdentical(legacy, policied);
+    ContinuousBatcher b(cfg, makeRequests(8, 64, 5, 1500),
+                        makeSchedulingPolicy("fcfs"));
+    const RunTrace t = traceRun(b);
+    const std::vector<StageSig> stages = {
+        {1, 64, 0, 0},   {0, 0, 1, 65},   {1, 64, 1, 66},
+        {1, 64, 2, 132}, {0, 0, 3, 199},  {1, 64, 2, 133},
+        {0, 0, 3, 200},  {1, 64, 2, 134}, {1, 64, 2, 132},
+        {0, 0, 3, 199},  {1, 64, 2, 133}, {0, 0, 3, 200},
+        {1, 64, 2, 134}, {0, 0, 2, 132},  {0, 0, 2, 134},
+        {0, 0, 1, 67},   {0, 0, 1, 68}};
+    const std::vector<LifeSig> finished = {
+        {0, 1000, 5000, 0, 0, 5},   {1, 3000, 7000, 0, 0, 5},
+        {2, 4000, 8000, 0, 0, 5},   {3, 6000, 10000, 0, 0, 5},
+        {4, 8000, 12000, 0, 0, 5},  {5, 9000, 13000, 0, 0, 5},
+        {6, 11000, 15000, 0, 0, 5}, {7, 13000, 17000, 0, 0, 5}};
+    EXPECT_EQ(t.stages, stages);
+    EXPECT_EQ(t.finished, finished);
+}
+
+TEST(Policy, FcfsMatchesPrePolicyBatcherKvCappedPrefixCache)
+{
+    // Three sessions of growing prompts under a KV cap tight enough
+    // that admission reclaims cache residency with a slot free.
+    BatcherConfig cfg;
+    cfg.maxBatch = 4;
+    cfg.maxPrefillsPerStage = 2;
+    cfg.maxKvTokens = 600;
+    PrefixCacheSpec spec;
+    spec.budgetBytes = 400;
+    spec.sharedPrefixTokens = 64;
+    PrefixCachePool pool(spec, 1);
+    std::vector<Request> reqs;
+    for (int i = 0; i < 12; ++i) {
+        Request r;
+        r.id = i;
+        r.sessionId = i % 3;
+        r.inputLen = 96 + 16 * i;
+        r.outputLen = 4;
+        reqs.push_back(r);
+    }
+    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), true),
+                        makeSchedulingPolicy("fcfs"), &pool);
+    const RunTrace t = traceRun(b);
+    const std::vector<StageSig> stages = {
+        {2, 80, 0, 0},    {2, 144, 2, 210}, {0, 0, 4, 486},
+        {0, 0, 4, 490},   {1, 44, 2, 278},  {2, 368, 1, 161},
+        {0, 0, 3, 532},   {0, 0, 3, 535},   {1, 208, 2, 374},
+        {1, 224, 1, 209}, {0, 0, 2, 435},   {0, 0, 2, 437},
+        {1, 240, 1, 227}, {1, 256, 1, 241}, {0, 0, 2, 499},
+        {0, 0, 2, 501},   {1, 272, 1, 259}, {0, 0, 1, 273},
+        {0, 0, 1, 274},   {0, 0, 1, 275}};
+    const std::vector<LifeSig> finished = {
+        {0, 1000, 4000, 0, 64, 4},   {1, 1000, 4000, 0, 64, 4},
+        {2, 2000, 5000, 0, 64, 4},   {3, 2000, 5000, 0, 64, 4},
+        {4, 5000, 8000, 0, 116, 4},  {5, 6000, 9000, 0, 0, 4},
+        {6, 6000, 9000, 0, 0, 4},    {7, 9000, 12000, 0, 0, 4},
+        {8, 10000, 13000, 0, 0, 4},  {9, 13000, 16000, 0, 0, 4},
+        {10, 14000, 17000, 0, 0, 4}, {11, 17000, 20000, 0, 0, 4}};
+    EXPECT_EQ(t.stages, stages);
+    EXPECT_EQ(t.finished, finished);
+    EXPECT_EQ(pool.metrics().lookups, 12);
+    EXPECT_EQ(pool.metrics().hits, 5);
+    EXPECT_EQ(pool.metrics().hitTokens, 372);
+    EXPECT_EQ(pool.metrics().evictions, 11);
+    EXPECT_EQ(pool.residentTokens(), 276);
+}
+
+TEST(Policy, FullBatchNeverReclaimsPrefixCache)
+{
+    // One slot, a 1000-token shared prefix resident, and a second
+    // request that could only fit with the cache reclaimed. It has
+    // no slot and no policy names a victim (one class), so the
+    // cache must survive until it can actually be admitted.
+    for (const char *id : {"fcfs", "ttft-protect", "priority"}) {
+        BatcherConfig cfg;
+        cfg.maxBatch = 1;
+        cfg.maxKvTokens = 1150;
+        PrefixCacheSpec spec;
+        spec.budgetBytes = 4096;
+        spec.sharedPrefixTokens = 1000;
+        PrefixCachePool pool(spec, 1);
+        ContinuousBatcher b(
+            cfg, ArrivalQueue(makeRequests(2, 100, 2), true),
+            makeSchedulingPolicy(id), &pool);
+        const RunTrace t = traceRun(b);
+        EXPECT_EQ(t.finished.size(), 2u) << id;
+        EXPECT_EQ(b.preemptions(), 0) << id;
+        EXPECT_EQ(pool.metrics().evictions, 0) << id;
+        EXPECT_EQ(pool.residentTokens(), 1000) << id;
+    }
+}
+
+TEST(Policy, PriorityFullBatchPreemptsThenReclaims)
+{
+    // A class-1 arrival finds the only slot held by a class-0
+    // decode and is KV-short while the shared prefix is resident:
+    // once the decode is named as a victim, the cache is reclaimed
+    // for the candidate's pre-preemption need (victim ids, cache
+    // evictions and residency pinned).
+    BatcherConfig cfg;
+    cfg.maxBatch = 1;
+    cfg.maxKvTokens = 1150;
+    cfg.closedLoop = false;
+    PrefixCacheSpec spec;
+    spec.budgetBytes = 4096;
+    spec.sharedPrefixTokens = 1000;
+    PrefixCachePool pool(spec, 1);
+    std::vector<Request> reqs = makeRequests(1, 100, 8);
+    Request high;
+    high.id = 1;
+    high.inputLen = 100;
+    high.outputLen = 2;
+    high.arrival = 1500;
+    high.priorityClass = 1;
+    reqs.push_back(high);
+    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), false),
+                        makeSchedulingPolicy("priority"), &pool);
+    const RunTrace t = traceRun(b);
+    const std::vector<StageSig> stages = {
+        {1, 100, 0, 0}, {0, 0, 1, 101}, {1, 100, 0, 0},
+        {0, 0, 1, 101}, {1, 100, 0, 0}, {0, 0, 1, 101},
+        {0, 0, 1, 102}, {0, 0, 1, 103}, {0, 0, 1, 104},
+        {0, 0, 1, 105}, {0, 0, 1, 106}, {0, 0, 1, 107}};
+    const std::vector<LifeSig> finished = {
+        {1, 3000, 4000, 0, 0, 2}, {0, 5000, 12000, 1, 0, 8}};
+    EXPECT_EQ(t.stages, stages);
+    EXPECT_EQ(t.finished, finished);
+    EXPECT_EQ(b.preemptions(), 1);
+    EXPECT_EQ(pool.metrics().evictions, 1);
+    EXPECT_EQ(pool.residentTokens(), 0);
 }
 
 TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
@@ -205,7 +350,6 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
     BatcherConfig cfg;
     cfg.maxBatch = 2;
     cfg.closedLoop = false;
-    const auto priority = makeSchedulingPolicy("priority");
     std::vector<Request> reqs = makeRequests(2, 16, 8);
     Request high;
     high.id = 2;
@@ -214,7 +358,8 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
     high.arrival = 500;
     high.priorityClass = 1;
     reqs.push_back(high);
-    ContinuousBatcher b(cfg, std::move(reqs), priority.get());
+    ContinuousBatcher b(cfg, std::move(reqs),
+                        makeSchedulingPolicy("priority"));
 
     PicoSec now = 0;
     int guard = 0;
