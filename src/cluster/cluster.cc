@@ -34,7 +34,7 @@ Cluster::Cluster(const ClusterConfig &config)
       costs_(config.model),
       plan_(makeShardingPlan(config.model, config.topo,
                              config.expertPlacement)),
-      device_(makeDevice(config.deviceSpec)),
+      device_(config.deviceSpec),
       selector_(std::max(1, config.model.numExperts),
                 std::max(1, config.model.topK), config.gatePolicy,
                 config.zipfS),
@@ -54,23 +54,8 @@ Cluster::Cluster(const ClusterConfig &config)
         moeGroupSize_ = m.numExperts / plan_.expertEpNodes;
     moeGroupShards_ = static_cast<double>(plan_.expertTpDegree);
 
-    const double shard = plan_.expertShardFraction();
-    device_->setExpertCost(costs_.expertFfnAffine(), shard);
-    if (cfg_.deviceSpec.hasLowEngine && cfg_.deviceSpec.coProcessing) {
-        lut_ = std::make_unique<ExpertTimeLut>(
-            cfg_.deviceSpec.xpu, cfg_.deviceSpec.low,
-            costs_.expertFfn(1).scaled(shard),
-            costs_.expertFfn(2).scaled(shard));
-        device_->setExpertLut(lut_.get());
-    }
-}
-
-int
-Cluster::lastExpertsOnLow() const
-{
-    if (auto *hybrid = dynamic_cast<HybridDevice *>(device_.get()))
-        return hybrid->lastExpertsOnLow();
-    return 0;
+    device_.setExpertCost(costs_.expertFfnAffine(),
+                          plan_.expertShardFraction());
 }
 
 KvBudget
@@ -112,7 +97,7 @@ Cluster::nodeShare(const StageShape &stage)
 void
 Cluster::addFc(const OpCost &cost, double scale, StageResult &out)
 {
-    addFcTiming(device_->runHighOpb(cost.scaled(scale)), out);
+    addFcTiming(device_.runHighOpb(cost.scaled(scale)), out);
 }
 
 void
@@ -144,7 +129,7 @@ Cluster::runMoeLayer(std::int64_t global_tokens,
 
     // One device call for the whole layer, priced straight from
     // the histogram.
-    const DeviceTiming moe = device_->runMoeGroups(
+    const DeviceTiming moe = device_.runMoeGroups(
         hist, moeGroupSize_, moeGroupShards_);
 
     out.time += gate_t.time + moe.time;
@@ -226,20 +211,20 @@ Cluster::executeStage(const StageShape &stage)
     // — bit-identical to the former per-layer recomputation, since
     // the devices are stateless for these groups.
     const DeviceTiming qkv_t =
-        device_->runHighOpb(costs_.qkv(node_tokens).scaled(tp_shard));
-    const AttentionTiming at = device_->runAttention(
+        device_.runHighOpb(costs_.qkv(node_tokens).scaled(tp_shard));
+    const AttentionTiming at = device_.runAttention(
         costs_.attentionDecode(agg).scaled(tp_shard),
         costs_.attentionPrefill(agg).scaled(tp_shard));
-    const DeviceTiming proj_t = device_->runHighOpb(
+    const DeviceTiming proj_t = device_.runHighOpb(
         costs_.projection(node_tokens).scaled(tp_shard));
-    const DeviceTiming elem_t = device_->runHighOpb(
+    const DeviceTiming elem_t = device_.runHighOpb(
         costs_.elementwise(node_tokens).scaled(tp_shard));
     const PicoSec all_reduce = allReduceTime(
         reduce_bytes, plan_.tpDegree, cfg_.topo.intraNode);
 
     DeviceTiming ffn_t;
     if (hasDense_)
-        ffn_t = device_->runHighOpb(
+        ffn_t = device_.runHighOpb(
             costs_.denseFfn(node_tokens).scaled(tp_shard));
     DeviceTiming gate_t;
     PicoSec moe_comm = 0;
@@ -248,7 +233,7 @@ Cluster::executeStage(const StageShape &stage)
         // ceiling split, as the seed modeled it).
         const std::int64_t moe_node_tokens =
             (global_tokens + plan_.dpDegree - 1) / plan_.dpDegree;
-        gate_t = device_->runHighOpb(
+        gate_t = device_.runHighOpb(
             costs_.gate(moe_node_tokens).scaled(tp_shard));
         moe_comm = moeCommTime(global_tokens, moe_node_tokens);
     }
@@ -295,7 +280,8 @@ Cluster::executeStage(const StageShape &stage)
 HeteroCluster::HeteroCluster(const HeteroConfig &config)
     : cfg_(config),
       costs_(config.model),
-      energy_(config.gpuSpec.energyParams),
+      gpuEnergy_(config.gpuSpec.energyParams),
+      pimEnergy_(config.pimSpec.energyParams),
       selector_(std::max(1, config.model.numExperts),
                 std::max(1, config.model.topK), config.gatePolicy,
                 config.zipfS),
@@ -303,13 +289,18 @@ HeteroCluster::HeteroCluster(const HeteroConfig &config)
 {
     fatalIf(!cfg_.pimSpec.hasLowEngine,
             "HeteroCluster: PIM devices need a low engine");
+    fatalIf(cfg_.numGpus < 1 || cfg_.numPimDevices < 1,
+            "HeteroCluster: needs at least one GPU and one PIM device");
+    fatalIf(cfg_.model.numExperts % cfg_.numPimDevices != 0,
+            "HeteroCluster: experts must split evenly over the PIM "
+            "devices");
     const int moe_layers = cfg_.model.numMoeLayers();
     hasDense_ = cfg_.model.numLayers > moe_layers;
     hasMoe_ = moe_layers > 0;
     if (cfg_.model.numExperts > 0)
         pimPrice_ = ExpertPriceTable(
             cfg_.pimSpec.low, cfg_.pimSpec.lowPath,
-            cfg_.pimSpec.lowCls, energy_, costs_.expertFfnAffine(),
+            cfg_.pimSpec.lowCls, pimEnergy_, costs_.expertFfnAffine(),
             1.0);
 }
 
@@ -347,7 +338,7 @@ HeteroCluster::executeStage(const StageShape &stage)
 
     auto time_gpu = [&](const OpCost &cost) {
         return engineRun(cfg_.gpuSpec.xpu, cfg_.gpuSpec.xpuPath,
-                         cfg_.gpuSpec.xpuCls, energy_,
+                         cfg_.gpuSpec.xpuCls, gpuEnergy_,
                          cost.scaled(gpu_shard));
     };
     auto add_gpu = [&](const DeviceTiming &t, LayerClass cls) {
@@ -377,7 +368,7 @@ HeteroCluster::executeStage(const StageShape &stage)
     const DeviceTiming qkv_t = time_gpu(costs_.qkv(tokens));
     const DeviceTiming attn_dec_t = engineRun(
         cfg_.pimSpec.low, cfg_.pimSpec.lowPath, cfg_.pimSpec.lowCls,
-        energy_, costs_.attentionDecode(agg).scaled(pim_shard));
+        pimEnergy_, costs_.attentionDecode(agg).scaled(pim_shard));
     // Prefill attention stays on the GPUs (KV is streamed over).
     const DeviceTiming attn_pre_t =
         time_gpu(costs_.attentionPrefill(agg));

@@ -19,7 +19,6 @@
 #define DUPLEX_CLUSTER_CLUSTER_HH
 
 #include <array>
-#include <memory>
 
 #include "core/duplex_device.hh"
 #include "model/kv.hh"
@@ -110,14 +109,13 @@ class Cluster
     std::int64_t maxKvTokens() const { return kvBudget().maxKvTokens(cfg_.model); }
 
     /** Experts routed to the low engine in the last MoE layer. */
-    int lastExpertsOnLow() const;
+    int lastExpertsOnLow() const { return device_.lastExpertsOnLow(); }
 
   private:
     ClusterConfig cfg_;
     LayerCosts costs_;
     ShardingPlan plan_;
-    std::unique_ptr<Device> device_;
-    std::unique_ptr<ExpertTimeLut> lut_;
+    Device device_;
     ExpertSelector selector_;
     Rng rng_;
 
@@ -185,7 +183,8 @@ class HeteroCluster
   private:
     HeteroConfig cfg_;
     LayerCosts costs_;
-    EnergyModel energy_;
+    EnergyModel gpuEnergy_;
+    EnergyModel pimEnergy_;
     ExpertSelector selector_;
     Rng rng_;
 

@@ -41,38 +41,34 @@ pimVariantDeviceSpec(PimVariant variant, const HbmTiming &timing,
     return spec;
 }
 
-std::unique_ptr<Device>
-makeDevice(const HybridDeviceSpec &spec)
-{
-    if (spec.hasLowEngine)
-        return std::make_unique<HybridDevice>(spec);
-    return std::make_unique<GpuDevice>(spec);
-}
-
-HybridDevice::HybridDevice(const HybridDeviceSpec &spec)
+Device::Device(const HybridDeviceSpec &spec)
     : spec_(spec), energy_(spec.energyParams)
 {
-    panicIf(!spec_.hasLowEngine,
-            "HybridDevice requires a low-Op/B engine");
+    fatalIf(spec_.coProcessing && !spec_.hasLowEngine,
+            "Device: co-processing needs a low-Op/B engine");
+    if (spec_.hasLowEngine)
+        low_ = std::make_unique<LowEngine>();
 }
 
 DeviceTiming
-HybridDevice::onXpu(const OpCost &cost)
+Device::onXpu(const OpCost &cost)
 {
     return engineRun(spec_.xpu, spec_.xpuPath, spec_.xpuCls, energy_,
                      cost);
 }
 
 DeviceTiming
-HybridDevice::onLow(const OpCost &cost)
+Device::onLow(const OpCost &cost)
 {
     return engineRun(spec_.low, spec_.lowPath, spec_.lowCls, energy_,
                      cost);
 }
 
 DeviceTiming
-HybridDevice::onBest(const OpCost &cost)
+Device::onBest(const OpCost &cost)
 {
+    if (!low_)
+        return onXpu(cost);
     if (cost.flops <= 0.0 && cost.bytes == 0)
         return {};
     const PicoSec t_xpu =
@@ -83,13 +79,13 @@ HybridDevice::onBest(const OpCost &cost)
 }
 
 DeviceTiming
-HybridDevice::runHighOpb(const OpCost &cost)
+Device::runHighOpb(const OpCost &cost)
 {
     return onXpu(cost);
 }
 
 AttentionTiming
-HybridDevice::runAttention(const OpCost &decode, const OpCost &prefill)
+Device::runAttention(const OpCost &decode, const OpCost &prefill)
 {
     const bool have_decode = decode.bytes > 0 || decode.flops > 0.0;
     const bool have_prefill =
@@ -115,7 +111,7 @@ HybridDevice::runAttention(const OpCost &decode, const OpCost &prefill)
 }
 
 DeviceTiming
-HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
+Device::runMoe(const std::vector<ExpertWork> &experts)
 {
     lastExpertsOnLow_ = 0;
     int num_active = 0;
@@ -125,8 +121,9 @@ HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
     if (num_active == 0)
         return {};
 
-    if (!spec_.coProcessing || lut_ == nullptr) {
-        // Engine selection for the whole layer by total time.
+    if (!low_ || !low_->lut) {
+        // Engine selection for the whole layer by total time (the
+        // xPU alone without a low engine).
         PicoSec t_xpu = spec_.xpu.dispatchOverhead;
         PicoSec t_low = spec_.low.dispatchOverhead;
         for (const auto &e : experts) {
@@ -134,10 +131,11 @@ HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
                 continue;
             t_xpu += operatorTimeNoOverhead(spec_.xpu, e.cost.flops,
                                             e.cost.bytes);
-            t_low += operatorTimeNoOverhead(spec_.low, e.cost.flops,
-                                            e.cost.bytes);
+            if (low_)
+                t_low += operatorTimeNoOverhead(
+                    spec_.low, e.cost.flops, e.cost.bytes);
         }
-        const bool use_low = t_low < t_xpu;
+        const bool use_low = low_ && t_low < t_xpu;
         DeviceTiming total;
         total.time = use_low ? t_low : t_xpu;
         if (use_low)
@@ -158,10 +156,11 @@ HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
     // Expert co-processing: lookup-table prefix search, run in the
     // reused scratch partition (zero-token experts are dropped by
     // the partitioner itself).
-    partitionExpertsInto(experts, *lut_, spec_.xpu, spec_.low,
-                         partScratch_, prefixScratch_,
-                         suffixScratch_);
-    const ExpertPartition &part = partScratch_;
+    LowEngine &low = *low_;
+    partitionExpertsInto(experts, *low.lut, spec_.xpu, spec_.low,
+                         low.partScratch, low.prefixScratch,
+                         low.suffixScratch);
+    const ExpertPartition &part = low.partScratch;
     lastExpertsOnLow_ = part.numOnLow;
 
     DeviceTiming total;
@@ -184,73 +183,83 @@ HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
 }
 
 void
-HybridDevice::setExpertCost(const AffineOpCost &cost, double shard)
+Device::setExpertCost(const AffineOpCost &cost, double shard)
 {
     xpuPrice_ = ExpertPriceTable(spec_.xpu, spec_.xpuPath,
                                  spec_.xpuCls, energy_, cost, shard);
-    lowPrice_ = ExpertPriceTable(spec_.low, spec_.lowPath,
-                                 spec_.lowCls, energy_, cost, shard);
+    if (!low_)
+        return;
+    low_->price = ExpertPriceTable(spec_.low, spec_.lowPath,
+                                   spec_.lowCls, energy_, cost, shard);
+    // Only co-processing reads the lookup table.
+    if (spec_.coProcessing)
+        low_->lut.emplace(spec_.xpu, spec_.low,
+                          cost.at(1).scaled(shard),
+                          cost.at(2).scaled(shard));
 }
 
 DeviceTiming
-HybridDevice::runMoeGroups(const std::vector<std::int64_t> &tokens,
-                           int group_size, double energy_scale)
+Device::runMoeGroups(const std::vector<std::int64_t> &tokens,
+                     int group_size, double energy_scale)
 {
     // Same composition as runMoe per contiguous group (makespan
     // over groups, per-group energy scaling, engine selection or
     // co-processing per group), with every expert priced from the
-    // two tables and the sums taken in the same order.
+    // tables and the sums taken in the same order.
     panicIf(!xpuPrice_.built(), "runMoeGroups: no expert cost set");
     DeviceTiming total;
     const std::size_t size = group_size;
     for (std::size_t g = 0; g + size <= tokens.size(); g += size) {
         DeviceTiming group;
-        if (spec_.coProcessing && lut_ != nullptr) {
-            workScratch_.clear();
+        if (low_ && low_->lut) {
+            LowEngine &low = *low_;
+            low.workScratch.clear();
             for (std::size_t i = g; i < g + size; ++i)
                 if (tokens[i] > 0)
-                    workScratch_.push_back(
+                    low.workScratch.push_back(
                         {tokens[i], xpuPrice_.cost(tokens[i])});
-            if (workScratch_.empty()) {
+            if (low.workScratch.empty()) {
                 lastExpertsOnLow_ = 0;
                 continue;
             }
-            partitionExpertsInto(workScratch_, *lut_, spec_.xpu,
-                                 spec_.low, partScratch_,
-                                 prefixScratch_, suffixScratch_);
-            const ExpertPartition &part = partScratch_;
+            partitionExpertsInto(low.workScratch, *low.lut, spec_.xpu,
+                                 spec_.low, low.partScratch,
+                                 low.prefixScratch, low.suffixScratch);
+            const ExpertPartition &part = low.partScratch;
             lastExpertsOnLow_ = part.numOnLow;
             group.time = part.makespan();
             for (int i = 0;
                  i < static_cast<int>(part.sorted.size()); ++i) {
                 const std::int64_t n = part.sorted[i].tokens;
                 group.energy += i < part.numOnLow
-                                    ? lowPrice_.at(n).energy
+                                    ? low.price.at(n).energy
                                     : xpuPrice_.at(n).energy;
             }
         } else {
-            // Both engines' sums in one pass, each in expert order,
-            // so every expert is priced once per engine.
+            // Engine selection for the whole group by total time:
+            // the xPU's sum, unless the low engine's is smaller.
             lastExpertsOnLow_ = 0;
             int num_active = 0;
-            DeviceTiming on_xpu;
-            DeviceTiming on_low;
-            on_xpu.time = spec_.xpu.dispatchOverhead;
-            on_low.time = spec_.low.dispatchOverhead;
+            group.time = spec_.xpu.dispatchOverhead;
             for (std::size_t i = g; i < g + size; ++i) {
                 if (tokens[i] == 0)
                     continue;
                 ++num_active;
-                on_xpu += xpuPrice_.at(tokens[i]);
-                on_low += lowPrice_.at(tokens[i]);
+                group += xpuPrice_.at(tokens[i]);
             }
             if (num_active == 0)
                 continue;
-            // Engine selection for the whole group by total time.
-            const bool use_low = on_low.time < on_xpu.time;
-            if (use_low)
-                lastExpertsOnLow_ = num_active;
-            group = use_low ? on_low : on_xpu;
+            if (low_) {
+                DeviceTiming on_low;
+                on_low.time = spec_.low.dispatchOverhead;
+                for (std::size_t i = g; i < g + size; ++i)
+                    if (tokens[i] != 0)
+                        on_low += low_->price.at(tokens[i]);
+                if (on_low.time < group.time) {
+                    group = on_low;
+                    lastExpertsOnLow_ = num_active;
+                }
+            }
         }
         total.time = std::max(total.time, group.time);
         total.energy.dramJ += group.energy.dramJ * energy_scale;

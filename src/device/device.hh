@@ -1,20 +1,20 @@
 /**
  * @file
- * Device abstraction: a package that executes operator groups.
+ * Device description and pricing values: the spec of one package,
+ * its per-group timing results and the per-engine expert price
+ * table.
  *
- * Every device owns a high-Op/B engine (the xPU); hybrid devices
- * (Duplex, Bank-PIM, BankGroup-PIM builds) add a low-Op/B engine
- * inside the memory stacks. The cluster hands devices per-shard
- * operator costs; devices answer with time and energy.
+ * Every package has a high-Op/B engine (the xPU); Duplex, Bank-PIM
+ * and BankGroup-PIM packages add a low-Op/B engine inside the memory
+ * stacks, and a plain GPU is the same spec without one. The one
+ * device class that executes these specs is core/duplex_device.hh.
  */
 
 #ifndef DUPLEX_DEVICE_DEVICE_HH
 #define DUPLEX_DEVICE_DEVICE_HH
 
 #include <array>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "compute/engine.hh"
 #include "energy/energy.hh"
@@ -136,65 +136,6 @@ struct AttentionTiming
     DeviceTiming decode;
     DeviceTiming prefill;
     PicoSec composed = 0;
-};
-
-class ExpertTimeLut; // core/lookup.hh
-
-/** Executes operator groups; implemented by GPU and hybrid devices. */
-class Device
-{
-  public:
-    virtual ~Device() = default;
-
-    virtual const HybridDeviceSpec &spec() const = 0;
-
-    /** High-Op/B work: QKV gen, projection, dense FFN, LM head. */
-    virtual DeviceTiming runHighOpb(const OpCost &cost) = 0;
-
-    /**
-     * Attention layer: decode-sequence and prefill-sequence groups.
-     * Hybrid devices may co-process them (Section V-B).
-     */
-    virtual AttentionTiming runAttention(const OpCost &decode,
-                                         const OpCost &prefill) = 0;
-
-    /**
-     * MoE layer: per-expert work. Experts with zero tokens are not
-     * touched (their weights are never read). The reference for
-     * runMoeGroups.
-     */
-    virtual DeviceTiming runMoe(const std::vector<ExpertWork> &experts)
-        = 0;
-
-    /**
-     * Install the expert FFN cost: expert work at n tokens is
-     * cost.at(n).scaled(shard) on each device. The device builds
-     * its per-engine ExpertPriceTables from it, once; runMoeGroups
-     * prices from them.
-     */
-    virtual void setExpertCost(const AffineOpCost &cost,
-                               double shard) = 0;
-
-    /**
-     * Whole MoE layer from its expert histogram: @p tokens[e]
-     * tokens on expert e, experts in contiguous groups of
-     * @p group_size (one group per expert-parallel device / ET
-     * shard). Bit-identical to runMoe per group over
-     * ExpertWork{tokens[e], cost.at(tokens[e]).scaled(shard)},
-     * combined as the layer's makespan (max group time) and the sum
-     * of each group's energy scaled by @p energy_scale. Needs
-     * setExpertCost first.
-     */
-    virtual DeviceTiming
-    runMoeGroups(const std::vector<std::int64_t> &tokens,
-                 int group_size, double energy_scale) = 0;
-
-    /**
-     * Install the expert-time lookup table (hybrid devices). The
-     * Cluster installs one only for co-processing specs, the only
-     * ones that read it.
-     */
-    virtual void setExpertLut(const ExpertTimeLut *lut) { (void)lut; }
 };
 
 /** Timing + energy of one group on a specific engine. */

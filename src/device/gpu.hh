@@ -1,10 +1,11 @@
 /**
  * @file
- * Baseline GPU device (NVIDIA H100-class, Section VI).
+ * Baseline GPU device spec (NVIDIA H100-class, Section VI).
  *
  * 990 TFLOPS dense FP16, five HBM3 stacks (80 GB), memory bandwidth
  * taken from the calibrated cycle-level DRAM model rather than the
- * datasheet peak.
+ * datasheet peak. The GPU has no low-Op/B engine, so the one device
+ * class (core/duplex_device.hh) runs everything on its xPU.
  */
 
 #ifndef DUPLEX_DEVICE_GPU_HH
@@ -23,31 +24,6 @@ EngineSpec h100Engine(const HbmTiming &timing,
 /** Full H100-class device spec (no low-Op/B engine). */
 HybridDeviceSpec h100DeviceSpec(const HbmTiming &timing,
                                 const DramCalibration &cal);
-
-/** Plain GPU: everything runs on the xPU engine. */
-class GpuDevice : public Device
-{
-  public:
-    explicit GpuDevice(const HybridDeviceSpec &spec);
-
-    const HybridDeviceSpec &spec() const override { return spec_; }
-
-    DeviceTiming runHighOpb(const OpCost &cost) override;
-    AttentionTiming runAttention(const OpCost &decode,
-                                 const OpCost &prefill) override;
-    DeviceTiming
-    runMoe(const std::vector<ExpertWork> &experts) override;
-    void setExpertCost(const AffineOpCost &cost,
-                       double shard) override;
-    DeviceTiming
-    runMoeGroups(const std::vector<std::int64_t> &tokens,
-                 int group_size, double energy_scale) override;
-
-  private:
-    HybridDeviceSpec spec_;
-    EnergyModel energy_;
-    ExpertPriceTable xpuPrice_;
-};
 
 } // namespace duplex
 

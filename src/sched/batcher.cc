@@ -196,7 +196,8 @@ ContinuousBatcher::admit(PicoSec now, StageShape &stage)
         // Live work wins over cache residency, but only for a
         // candidate with a batch slot: with a slot free, reclaim
         // before considering preemption; with the batch full, only
-        // once victims will free one.
+        // once victims have freed one, sized by what they left
+        // short.
         auto reclaim = [&] {
             if (pool_ != nullptr && need > kvCapacity())
                 pool_->reclaim(need - kvCapacity());
@@ -217,8 +218,6 @@ ContinuousBatcher::admit(PicoSec now, StageShape &stage)
                 batch_full ? 1 : 0, snap, victims);
             if (victims.empty())
                 break;
-            if (batch_full)
-                reclaim();
             // Evict highest index first so the remaining indices
             // stay valid; duplicates would double-evict.
             std::sort(victims.begin(), victims.end(),
@@ -237,6 +236,8 @@ ContinuousBatcher::admit(PicoSec now, StageShape &stage)
                 need -= lifetime + 1;
                 preemptActive(idx);
             }
+            if (batch_full)
+                reclaim();
             if (need > kvCapacity())
                 break; // the evictions still do not make room
         }

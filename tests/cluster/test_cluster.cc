@@ -198,5 +198,44 @@ TEST(HeteroCluster, MixedStageMoeSuffers)
     EXPECT_GT(h.executeStage(s).time, dup.executeStage(s).time);
 }
 
+TEST(HeteroCluster, PimSidePricedWithPimEnergy)
+{
+    // Decode attention and the experts run on the PIM devices and
+    // take their energy parameters; FC work stays on the GPUs.
+    const HeteroConfig base = makeHeteroConfig(mixtralConfig());
+    HeteroConfig scaled = base;
+    scaled.pimSpec.energyParams.arrayPj *= 2.0;
+    scaled.pimSpec.energyParams.logicPimFlopPj *= 2.0;
+    HeteroCluster a(base);
+    HeteroCluster b(scaled);
+    const StageShape s = decodeStage(32, 2048);
+    const StageResult ra = a.executeStage(s);
+    const StageResult rb = b.executeStage(s);
+    EXPECT_EQ(rb.time, ra.time);
+    for (LayerClass cls :
+         {LayerClass::Moe, LayerClass::AttentionDecode}) {
+        EXPECT_GT(rb.slice(cls).energy.dramJ, ra.slice(cls).energy.dramJ);
+        EXPECT_GT(rb.slice(cls).energy.computeJ,
+                  ra.slice(cls).energy.computeJ);
+    }
+    EXPECT_EQ(rb.slice(LayerClass::Fc).energy.dramJ,
+              ra.slice(LayerClass::Fc).energy.dramJ);
+    EXPECT_EQ(rb.slice(LayerClass::Fc).energy.computeJ,
+              ra.slice(LayerClass::Fc).energy.computeJ);
+}
+
+TEST(HeteroCluster, UnevenExpertSplitIsFatal)
+{
+    // Mixtral's 8 experts do not split over 3 PIM devices.
+    HeteroConfig cfg = makeHeteroConfig(mixtralConfig());
+    cfg.numPimDevices = 3;
+    EXPECT_EXIT({ HeteroCluster h(cfg); },
+                ::testing::ExitedWithCode(1), "split evenly");
+    cfg = makeHeteroConfig(mixtralConfig());
+    cfg.numGpus = 0;
+    EXPECT_EXIT({ HeteroCluster h(cfg); },
+                ::testing::ExitedWithCode(1), "at least one GPU");
+}
+
 } // namespace
 } // namespace duplex

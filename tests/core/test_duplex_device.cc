@@ -38,26 +38,18 @@ TEST_F(DuplexDeviceTest, SpecHasBothEngines)
     EXPECT_LT(s.low.peakFlops, s.xpu.peakFlops);
 }
 
-TEST_F(DuplexDeviceTest, FactoryBuildsRightClass)
-{
-    auto gpu = makeDevice(h100DeviceSpec(timing, cal));
-    EXPECT_NE(dynamic_cast<GpuDevice *>(gpu.get()), nullptr);
-    auto dup = makeDevice(spec(false));
-    EXPECT_NE(dynamic_cast<HybridDevice *>(dup.get()), nullptr);
-}
-
 TEST_F(DuplexDeviceTest, HighOpbStaysOnXpu)
 {
-    HybridDevice dev(spec(false));
-    GpuDevice gpu(h100DeviceSpec(timing, cal));
+    Device dev(spec(false));
+    Device gpu(h100DeviceSpec(timing, cal));
     const OpCost fc = costs.qkv(64);
     EXPECT_EQ(dev.runHighOpb(fc).time, gpu.runHighOpb(fc).time);
 }
 
 TEST_F(DuplexDeviceTest, DecodeAttentionPicksLowEngine)
 {
-    HybridDevice dev(spec(false));
-    GpuDevice gpu(h100DeviceSpec(timing, cal));
+    Device dev(spec(false));
+    Device gpu(h100DeviceSpec(timing, cal));
     StageShape stage;
     for (int i = 0; i < 32; ++i)
         stage.decodeContexts.push_back(2048);
@@ -70,8 +62,8 @@ TEST_F(DuplexDeviceTest, DecodeAttentionPicksLowEngine)
 
 TEST_F(DuplexDeviceTest, PrefillAttentionStaysOnXpu)
 {
-    HybridDevice dev(spec(false));
-    GpuDevice gpu(h100DeviceSpec(timing, cal));
+    Device dev(spec(false));
+    Device gpu(h100DeviceSpec(timing, cal));
     StageShape stage;
     stage.prefillLengths.push_back(4096);
     const OpCost prefill = costs.attentionPrefill(stage);
@@ -89,8 +81,8 @@ TEST_F(DuplexDeviceTest, CoProcessedAttentionOverlaps)
     const OpCost decode = costs.attentionDecode(stage);
     const OpCost prefill = costs.attentionPrefill(stage);
 
-    HybridDevice serial(spec(false));
-    HybridDevice co(spec(true));
+    Device serial(spec(false));
+    Device co(spec(true));
     const auto serial_t = serial.runAttention(decode, prefill);
     const auto co_t = co.runAttention(decode, prefill);
     EXPECT_EQ(co_t.composed,
@@ -106,7 +98,7 @@ TEST_F(DuplexDeviceTest, CoProcessedAttentionOverlaps)
 
 TEST_F(DuplexDeviceTest, DecodeMoeGoesLow)
 {
-    HybridDevice dev(spec(false));
+    Device dev(spec(false));
     // Decoding-only stage: 16 tokens per expert => low Op/B.
     std::vector<ExpertWork> experts;
     for (int e = 0; e < 8; ++e)
@@ -117,7 +109,7 @@ TEST_F(DuplexDeviceTest, DecodeMoeGoesLow)
 
 TEST_F(DuplexDeviceTest, MixedMoeGoesXpu)
 {
-    HybridDevice dev(spec(false));
+    Device dev(spec(false));
     // Mixed stage: ~1k tokens per expert => high Op/B.
     std::vector<ExpertWork> experts;
     for (int e = 0; e < 8; ++e)
@@ -131,11 +123,9 @@ TEST_F(DuplexDeviceTest, CoProcessingNeverSlower)
     LayerCosts glam_costs{glamConfig()};
     const auto s_serial = spec(false);
     const auto s_co = spec(true);
-    HybridDevice serial(s_serial);
-    HybridDevice co(s_co);
-    ExpertTimeLut lut(s_co.xpu, s_co.low, glam_costs.expertFfn(1),
-                      glam_costs.expertFfn(2));
-    co.setExpertLut(&lut);
+    Device serial(s_serial);
+    Device co(s_co);
+    co.setExpertCost(glam_costs.expertFfnAffine(), 1.0);
 
     Rng rng(3);
     ExpertSelector sel(64, 2);
@@ -153,10 +143,8 @@ TEST_F(DuplexDeviceTest, CoProcessingNeverSlower)
 TEST_F(DuplexDeviceTest, CoProcessingSplitsSkewedLoad)
 {
     const auto s = spec(true);
-    HybridDevice dev(s);
-    ExpertTimeLut lut(s.xpu, s.low, costs.expertFfn(1),
-                      costs.expertFfn(2));
-    dev.setExpertLut(&lut);
+    Device dev(s);
+    dev.setExpertCost(costs.expertFfnAffine(), 1.0);
     // One prefill-heavy expert plus cold decode experts.
     std::vector<ExpertWork> experts;
     experts.push_back({4096, costs.expertFfn(4096)});
@@ -169,8 +157,8 @@ TEST_F(DuplexDeviceTest, CoProcessingSplitsSkewedLoad)
 
 TEST_F(DuplexDeviceTest, EnergyUsesLowPathWhenOnLow)
 {
-    HybridDevice dev(spec(false));
-    GpuDevice gpu(h100DeviceSpec(timing, cal));
+    Device dev(spec(false));
+    Device gpu(h100DeviceSpec(timing, cal));
     std::vector<ExpertWork> experts;
     for (int e = 0; e < 8; ++e)
         experts.push_back({16, costs.expertFfn(16)});
@@ -180,25 +168,23 @@ TEST_F(DuplexDeviceTest, EnergyUsesLowPathWhenOnLow)
     EXPECT_LT(dup_j, 0.8 * gpu_j);
 }
 
-TEST(HybridMoeGroups, HistogramPricingMatchesRunMoeComposition)
+TEST(DeviceMoeGroups, HistogramPricingMatchesRunMoeComposition)
 {
-    // duplex: engine selection per group; duplex-pe: expert
-    // co-processing; duplex-pe-et and bank-pim: expert-tensor-
-    // parallel groups (co-processed, energy scaled per slice).
-    // Checked on the freshly built tables, then again warm.
+    // gpu: the xPU alone; duplex: engine selection per group;
+    // duplex-pe: expert co-processing; duplex-pe-et and bank-pim:
+    // expert-tensor-parallel groups (co-processed, energy scaled
+    // per slice). Checked on the freshly built tables, then again
+    // warm.
     for (const char *system :
-         {"duplex", "duplex-pe", "duplex-pe-et", "bank-pim"}) {
+         {"gpu", "duplex", "duplex-pe", "duplex-pe-et", "bank-pim"}) {
         for (const ModelConfig &model :
              {mixtralConfig(), glamConfig()}) {
             const test::MoePlacement p =
                 test::moePlacement(system, model);
-            const ExpertTimeLut lut(p.spec.xpu, p.spec.low, p.lutOne,
-                                    p.lutTwo);
-            HybridDevice dev(p.spec);
-            HybridDevice ref(p.spec);
-            dev.setExpertLut(&lut);
-            ref.setExpertLut(&lut);
+            Device dev(p.spec);
+            Device ref(p.spec);
             dev.setExpertCost(p.cost, p.shard);
+            ref.setExpertCost(p.cost, p.shard);
             const auto hists =
                 test::moeHistograms(model.numExperts, 17, 40);
             for (int pass = 0; pass < 2; ++pass) {

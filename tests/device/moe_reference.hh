@@ -29,8 +29,6 @@ struct MoePlacement
 {
     HybridDeviceSpec spec;
     AffineOpCost cost;       //!< unsharded expert FFN cost
-    OpCost lutOne;           //!< sharded cost at 1 token (LUT probe)
-    OpCost lutTwo;           //!< sharded cost at 2 tokens
     double shard = 1.0;      //!< expert slice per device
     int groupSize = 1;       //!< experts per placement group
     double energyScale = 1.0; //!< devices sharing each group
@@ -48,8 +46,6 @@ moePlacement(const std::string &system, const ModelConfig &model)
     p.spec = cfg.deviceSpec;
     p.cost = costs.expertFfnAffine();
     p.shard = plan.expertShardFraction();
-    p.lutOne = costs.expertFfn(1).scaled(p.shard);
-    p.lutTwo = costs.expertFfn(2).scaled(p.shard);
     p.groupSize = plan.experts == ExpertPlacement::ExpertParallel
                       ? std::max(1, plan.expertsPerDevice)
                       : model.numExperts / plan.expertEpNodes;

@@ -1,11 +1,11 @@
 /**
  * @file
- * GPU device tests: the H100-class baseline of Section VI.
+ * GPU device tests: the H100-class baseline of Section VI, run by
+ * the one Device class on a spec without a low-Op/B engine.
  */
 
 #include <gtest/gtest.h>
 
-#include "device/gpu.hh"
 #include "moe_reference.hh"
 
 namespace duplex
@@ -19,7 +19,7 @@ class GpuTest : public ::testing::Test
     HbmTiming timing = hbm3Timing();
     HybridDeviceSpec spec =
         h100DeviceSpec(timing, cachedCalibration());
-    GpuDevice dev{spec};
+    Device dev{spec};
 };
 
 TEST_F(GpuTest, SpecNumbers)
@@ -99,29 +99,96 @@ TEST_F(GpuTest, MemoryBoundOperatorTracksBandwidth)
     EXPECT_NEAR(psToSec(t.time), expect_sec, expect_sec * 0.01);
 }
 
-TEST(GpuMoeGroups, HistogramPricingMatchesRunMoeComposition)
+TEST(Device, GpuSpecMatchesRetiredGpuDevice)
 {
-    // Every value from the price table must equal runMoe's over the
-    // same ExpertWork, bit for bit: on the first pass (freshly built
-    // table) and again on the second.
-    for (const ModelConfig &model : {mixtralConfig(), glamConfig()}) {
-        const test::MoePlacement p = test::moePlacement("gpu", model);
-        GpuDevice dev(p.spec);
-        GpuDevice ref(p.spec);
-        dev.setExpertCost(p.cost, p.shard);
-        const auto hists = test::moeHistograms(model.numExperts, 11, 40);
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const auto &hist : hists) {
-                const DeviceTiming got =
-                    dev.runMoeGroups(hist, p.groupSize, p.energyScale);
-                const DeviceTiming want =
-                    test::referenceMoeGroups(ref, hist, p);
-                EXPECT_EQ(got.time, want.time) << model.name;
-                EXPECT_EQ(got.energy.dramJ, want.energy.dramJ);
-                EXPECT_EQ(got.energy.computeJ, want.energy.computeJ);
-            }
-        }
+    // Values of the former xPU-only device class on the H100 spec,
+    // captured before it was merged into Device: the GPU spec must
+    // keep them bit for bit.
+    const HybridDeviceSpec spec =
+        h100DeviceSpec(hbm3Timing(), cachedCalibration());
+    Device dev(spec);
+    auto expect = [](const DeviceTiming &t, PicoSec time, double dram,
+                     double compute) {
+        EXPECT_EQ(t.time, time);
+        EXPECT_EQ(t.energy.dramJ, dram);
+        EXPECT_EQ(t.energy.computeJ, compute);
+    };
+    const DeviceTiming none;
+
+    expect(dev.runHighOpb({1e12, 1'000'000'000}), 1348801347,
+           0x1.e108c3f3e0371p-6, 0x1.9999999999999p-2);
+    expect(dev.runHighOpb({1.0, 3'000'000'000ull}), 989477601,
+           0x1.68c692f6e8294p-4, 0x1.c25c268497682p-42);
+
+    const OpCost decode{1e9, 500'000'000};
+    const OpCost prefill{2e12, 100'000'000};
+    const DeviceTiming want_decode{166579600,
+                                   {0x1.e108c3f3e0371p-7,
+                                    0x1.a36e2eb1c432cp-12}};
+    const DeviceTiming want_prefill{2695602694,
+                                    {0x1.80d3cff64cf8dp-9,
+                                     0x1.9999999999999p-1}};
+    struct Case
+    {
+        OpCost decode, prefill;
+        DeviceTiming wantDecode, wantPrefill;
+        PicoSec composed;
+    };
+    for (const Case &c :
+         {Case{decode, {}, want_decode, none, 166579600},
+          Case{{}, prefill, none, want_prefill, 2695602694},
+          Case{decode, prefill, want_decode, want_prefill,
+               2862182294}}) {
+        const AttentionTiming t = dev.runAttention(c.decode, c.prefill);
+        expect(t.decode, c.wantDecode.time, c.wantDecode.energy.dramJ,
+               c.wantDecode.energy.computeJ);
+        expect(t.prefill, c.wantPrefill.time,
+               c.wantPrefill.energy.dramJ,
+               c.wantPrefill.energy.computeJ);
+        EXPECT_EQ(t.composed, c.composed);
     }
+
+    // GpuTest's expert sets: cold experts, one and two hot ones,
+    // and none at all.
+    const std::vector<ExpertWork> mixed{{8, {1e9, 100'000'000}},
+                                        {0, {0.0, 0}},
+                                        {4, {5e8, 100'000'000}},
+                                        {0, {0.0, 0}}};
+    const std::vector<ExpertWork> one{{8, {1e9, 100'000'000}}};
+    const std::vector<ExpertWork> two{{8, {1e9, 100'000'000}},
+                                      {8, {1e9, 100'000'000}}};
+    expect(dev.runMoe(mixed), 67831840, 0x1.80d3cff64cf8dp-8,
+           0x1.3a92a30553261p-11);
+    expect(dev.runMoe(one), 34915920, 0x1.80d3cff64cf8dp-9,
+           0x1.a36e2eb1c432cp-12);
+    expect(dev.runMoe(two), 67831840, 0x1.80d3cff64cf8dp-8,
+           0x1.a36e2eb1c432cp-11);
+    expect(dev.runMoe({}), 0, 0.0, 0.0);
+    EXPECT_EQ(dev.lastExpertsOnLow(), 0);
+
+    // The histogram path, summed over seeded Mixtral layers.
+    const test::MoePlacement p = test::moePlacement("gpu", mixtralConfig());
+    Device moe(p.spec);
+    moe.setExpertCost(p.cost, p.shard);
+    DeviceTiming sum;
+    for (const auto &hist : test::moeHistograms(8, 11, 40)) {
+        const DeviceTiming t =
+            moe.runMoeGroups(hist, p.groupSize, p.energyScale);
+        sum.time += t.time;
+        sum.energy.dramJ += t.energy.dramJ;
+        sum.energy.computeJ += t.energy.computeJ;
+    }
+    expect(sum, 98449047541, 0x1.b768413dc9361p+1,
+           0x1.172eecef8d37p+5);
+}
+
+TEST(Device, CoProcessingWithoutLowEngineIsFatal)
+{
+    HybridDeviceSpec spec =
+        h100DeviceSpec(hbm3Timing(), cachedCalibration());
+    spec.coProcessing = true;
+    EXPECT_EXIT({ Device dev(spec); }, ::testing::ExitedWithCode(1),
+                "co-processing needs a low-Op/B engine");
 }
 
 } // namespace

@@ -240,32 +240,68 @@ TEST(Policy, FullBatchNeverReclaimsPrefixCache)
     }
 }
 
-TEST(Policy, PriorityFullBatchPreemptsThenReclaims)
+/**
+ * A class-1 arrival at t = 1500 finds the only slot held by a
+ * class-0 decode (100-token prompt, 8 outputs) while a 1000-token
+ * shared prefix is resident, under priority scheduling.
+ */
+struct FullBatchPreemption
 {
-    // A class-1 arrival finds the only slot held by a class-0
-    // decode and is KV-short while the shared prefix is resident:
-    // once the decode is named as a victim, the cache is reclaimed
-    // for the candidate's pre-preemption need (victim ids, cache
-    // evictions and residency pinned).
-    BatcherConfig cfg;
-    cfg.maxBatch = 1;
-    cfg.maxKvTokens = 1150;
-    cfg.closedLoop = false;
-    PrefixCacheSpec spec;
-    spec.budgetBytes = 4096;
-    spec.sharedPrefixTokens = 1000;
-    PrefixCachePool pool(spec, 1);
-    std::vector<Request> reqs = makeRequests(1, 100, 8);
-    Request high;
-    high.id = 1;
-    high.inputLen = 100;
-    high.outputLen = 2;
-    high.arrival = 1500;
-    high.priorityClass = 1;
-    reqs.push_back(high);
-    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), false),
-                        makeSchedulingPolicy("priority"), &pool);
-    const RunTrace t = traceRun(b);
+    PrefixCachePool pool;
+    ContinuousBatcher batcher;
+    RunTrace trace;
+
+    FullBatchPreemption(std::int64_t max_kv_tokens,
+                        std::int64_t high_input)
+        : pool(cacheSpec(), 1),
+          batcher(config(max_kv_tokens),
+                  ArrivalQueue(requests(high_input), false),
+                  makeSchedulingPolicy("priority"), &pool),
+          trace(traceRun(batcher))
+    {
+    }
+
+    static PrefixCacheSpec
+    cacheSpec()
+    {
+        PrefixCacheSpec spec;
+        spec.budgetBytes = 4096;
+        spec.sharedPrefixTokens = 1000;
+        return spec;
+    }
+
+    static BatcherConfig
+    config(std::int64_t max_kv_tokens)
+    {
+        BatcherConfig cfg;
+        cfg.maxBatch = 1;
+        cfg.maxKvTokens = max_kv_tokens;
+        cfg.closedLoop = false;
+        return cfg;
+    }
+
+    static std::vector<Request>
+    requests(std::int64_t high_input)
+    {
+        std::vector<Request> reqs = makeRequests(1, 100, 8);
+        Request high;
+        high.id = 1;
+        high.inputLen = high_input;
+        high.outputLen = 2;
+        high.arrival = 1500;
+        high.priorityClass = 1;
+        reqs.push_back(high);
+        return reqs;
+    }
+};
+
+TEST(Policy, PriorityFullBatchPreemptsAndKeepsCache)
+{
+    // Preempting the decode alone leaves the 100-token candidate's
+    // need under the KV headroom beside the resident prefix, so the
+    // cache survives (victim ids, cache evictions and residency
+    // pinned).
+    const FullBatchPreemption run(1150, 100);
     const std::vector<StageSig> stages = {
         {1, 100, 0, 0}, {0, 0, 1, 101}, {1, 100, 0, 0},
         {0, 0, 1, 101}, {1, 100, 0, 0}, {0, 0, 1, 101},
@@ -273,11 +309,31 @@ TEST(Policy, PriorityFullBatchPreemptsThenReclaims)
         {0, 0, 1, 105}, {0, 0, 1, 106}, {0, 0, 1, 107}};
     const std::vector<LifeSig> finished = {
         {1, 3000, 4000, 0, 0, 2}, {0, 5000, 12000, 1, 0, 8}};
-    EXPECT_EQ(t.stages, stages);
-    EXPECT_EQ(t.finished, finished);
-    EXPECT_EQ(b.preemptions(), 1);
-    EXPECT_EQ(pool.metrics().evictions, 1);
-    EXPECT_EQ(pool.residentTokens(), 0);
+    EXPECT_EQ(run.trace.stages, stages);
+    EXPECT_EQ(run.trace.finished, finished);
+    EXPECT_EQ(run.batcher.preemptions(), 1);
+    EXPECT_EQ(run.pool.metrics().evictions, 0);
+    EXPECT_EQ(run.pool.residentTokens(), 1000);
+}
+
+TEST(Policy, PriorityFullBatchPreemptsThenReclaimsShortfall)
+{
+    // A 150-token candidate under a 1120-token cap: the victim
+    // frees the slot but not enough KV, so the cache is reclaimed
+    // after the preemption for what is still short.
+    const FullBatchPreemption run(1120, 150);
+    const std::vector<StageSig> stages = {
+        {1, 100, 0, 0}, {0, 0, 1, 101}, {1, 150, 0, 0},
+        {0, 0, 1, 151}, {1, 100, 0, 0}, {0, 0, 1, 101},
+        {0, 0, 1, 102}, {0, 0, 1, 103}, {0, 0, 1, 104},
+        {0, 0, 1, 105}, {0, 0, 1, 106}, {0, 0, 1, 107}};
+    const std::vector<LifeSig> finished = {
+        {1, 3000, 4000, 0, 0, 2}, {0, 5000, 12000, 1, 0, 8}};
+    EXPECT_EQ(run.trace.stages, stages);
+    EXPECT_EQ(run.trace.finished, finished);
+    EXPECT_EQ(run.batcher.preemptions(), 1);
+    EXPECT_EQ(run.pool.metrics().evictions, 1);
+    EXPECT_EQ(run.pool.residentTokens(), 0);
 }
 
 TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
